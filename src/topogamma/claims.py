@@ -1008,22 +1008,30 @@ def _assignment_of(index: int, size_x: int, size_y: int) -> tuple:
     return tuple((index // size_y**i) % size_y for i in range(size_x))
 
 
+def _point_maps(source, target, opt: EvalOptions) -> list:
+    """The maps a sweep visits from `source` to `target`, in sweep order."""
+    total = target.size**source.size
+    return [
+        PointMap(source, target, _assignment_of(idx, source.size, target.size))
+        for idx in _assignment_indices(total, opt)
+    ]
+
+
 def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
                         label: Optional[str]) -> Verdict:
     ctx_x = _as_context(pair[0], opt)
     ctx_y = _as_context(pair[1], opt)
-    size_x, size_y = ctx_x.universe.size, ctx_y.universe.size
-    total = size_y**size_x
-    indices = _assignment_indices(total, opt)
+    point_maps = _point_maps(ctx_x.universe, ctx_y.universe, opt)
+    total = ctx_y.universe.size**ctx_x.universe.size
     sweep_note = (
         f"exhaustive({total})" if total <= opt.map_cap
-        else f"sampled({len(indices)} of {total}, seed={opt.map_seed})"
+        else f"sampled({len(point_maps)} of {total}, seed={opt.map_seed})"
     )
     closure = _closure_label(ctx_x, ctx_y)
-    label = label or f"{ctx_x.describe()} -> {ctx_y.describe()}"
+    if label is None:
+        label = f"{ctx_x.describe()} -> {ctx_y.describe()}"
     met = 0
-    for idx in indices:
-        pm = PointMap(ctx_x.universe, ctx_y.universe, _assignment_of(idx, size_x, size_y))
+    for pm in point_maps:
         env = MapEnv(MapInstance(ctx_x, ctx_y, pm), opt)
         verdict = _run_env(claim, env, opt, label, closure, {"maps": sweep_note})
         if verdict.status == VACUOUS:
@@ -1056,17 +1064,25 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     MapInstance, or a (domain, codomain) pair in which case the point map
     becomes a swept slot (exhaustive up to `map_cap` assignments, then a
     seeded sample, recorded in the verdict).
+
+    `label` names the instance in the verdict; None renders the instance's
+    description. A caller that discards most verdicts passes "" and labels
+    only the verdicts it keeps.
     """
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
     opt = options or EvalOptions()
     if claim.kind == "space":
         ctx = _as_context(instance, opt)
         env = SpaceEnv(ctx, opt)
-        return _run_env(claim, env, opt, label or ctx.describe(), ctx.closure_variant)
+        if label is None:
+            label = ctx.describe()
+        return _run_env(claim, env, opt, label, ctx.closure_variant)
     if isinstance(instance, MapInstance):
         env = MapEnv(instance, opt)
         closure = _closure_label(instance.domain_ctx, instance.codomain_ctx)
-        return _run_env(claim, env, opt, label or instance.describe(), closure)
+        if label is None:
+            label = instance.describe()
+        return _run_env(claim, env, opt, label, closure)
     if isinstance(instance, tuple) and len(instance) == 2:
         return _evaluate_map_sweep(claim, instance, opt, label)
     raise ShapeMismatch(
@@ -1148,11 +1164,45 @@ class SearchOutcome:
         }
 
 
-def _space_stream(config: SearchConfig) -> Iterator[GammaSpace]:
+def _context_stream(config: SearchConfig) -> Iterator[SemistarContext]:
     for n in range(1, config.max_n + 1):
         for topology in enumerate_topologies(n):
             for op in enumerate_operations(topology, config.domain, config.op_budget):
-                yield GammaSpace(topology, op)
+                yield SemistarContext(GammaSpace(topology, op), config.closure_variant)
+
+
+def _replayable(stream: Iterator) -> Callable[[], Iterator]:
+    """Replays of one stream: each replay yields the same items in order,
+    and the stream is advanced only when a replay first needs an item."""
+    items: list = []
+
+    def replay() -> Iterator:
+        i = 0
+        while True:
+            if i == len(items):
+                try:
+                    items.append(next(stream))
+                except StopIteration:
+                    return
+            yield items[i]
+            i += 1
+
+    return replay
+
+
+def _map_instances(config: SearchConfig, opt: EvalOptions) -> Iterator[MapInstance]:
+    """Every enumerated space paired with every one, each pair under each
+    swept point map. Contexts and point maps are built once and shared, so
+    their cached tables fill once per search."""
+    contexts = _replayable(_context_stream(config))
+    point_maps: dict = {}
+    for ctx_x in contexts():
+        for ctx_y in contexts():
+            pair = (ctx_x.universe, ctx_y.universe)
+            if pair not in point_maps:
+                point_maps[pair] = _point_maps(*pair, opt)
+            for pm in point_maps[pair]:
+                yield MapInstance(ctx_x, ctx_y, pm)
 
 
 def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) -> SearchOutcome:
@@ -1160,9 +1210,15 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
 
     Hypotheses named in `config.drop` are not enforced, which turns necessity
     examples into reproducible searches. Returns the first refuted verdict,
-    or an exhausted outcome with full accounting.
+    or an exhausted outcome with full accounting. Only the first refutation
+    is kept, so only it is labelled. Worked-example claims are bound to
+    their fixture and cannot be searched.
     """
     claim = get_claim(claim_id)
+    if claim.fixture is not None:
+        raise ShapeMismatch(
+            f"claim {claim.id} checks fixture {claim.fixture} and cannot be searched"
+        )
     config = config or SearchConfig()
     opt = config.options()
     visited = evaluated = refutations = 0
@@ -1170,45 +1226,26 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
     first_instance = None
 
     if claim.kind == "space":
-        for space in _space_stream(config):
-            visited += 1
-            verdict = evaluate_claim(claim, space, opt)
-            if verdict.status == VACUOUS:
-                continue
-            evaluated += 1
-            if verdict.status == REFUTED:
-                refutations += 1
-                if first is None:
-                    first, first_instance = verdict, space
-                if config.stop_at_first:
-                    break
+        instances = _context_stream(config)
     else:
-        for domain_space in _space_stream(config):
-            ctx_x = SemistarContext(domain_space, opt.closure_variant)
-            for codomain_space in _space_stream(config):
-                ctx_y = SemistarContext(codomain_space, opt.closure_variant)
-                total = ctx_y.universe.size ** ctx_x.universe.size
-                for idx in _assignment_indices(total, opt):
-                    pm = PointMap(
-                        ctx_x.universe, ctx_y.universe,
-                        _assignment_of(idx, ctx_x.universe.size, ctx_y.universe.size),
-                    )
-                    instance = MapInstance(ctx_x, ctx_y, pm)
-                    visited += 1
-                    verdict = evaluate_claim(claim, instance, opt)
-                    if verdict.status == VACUOUS:
-                        continue
-                    evaluated += 1
-                    if verdict.status == REFUTED:
-                        refutations += 1
-                        verdict.witness["assign"] = pm.as_labels()
-                        if first is None:
-                            first, first_instance = verdict, instance
-                        if config.stop_at_first:
-                            break
-                if first and config.stop_at_first:
-                    break
-            if first and config.stop_at_first:
+        instances = _map_instances(config, opt)
+    for instance in instances:
+        visited += 1
+        verdict = evaluate_claim(claim, instance, opt, label="")
+        if verdict.status == VACUOUS:
+            continue
+        evaluated += 1
+        if verdict.status == REFUTED:
+            refutations += 1
+            if first is None:
+                verdict.instance = instance.describe()
+                if claim.kind == "space":
+                    first_instance = instance.space
+                else:
+                    verdict.witness["assign"] = instance.map.as_labels()
+                    first_instance = instance
+                first = verdict
+            if config.stop_at_first:
                 break
 
     status = REFUTED if first is not None else "EXHAUSTED"

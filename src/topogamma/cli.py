@@ -24,7 +24,7 @@ from .claims import (
     search_counterexample,
 )
 from .core import enumerate_topologies
-from .errors import EngineError, UnknownClaim
+from .errors import EngineError
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .jsonio import (
     family_to_labels,
@@ -299,13 +299,9 @@ def run(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except UnknownClaim as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EngineError, ValueError, OSError) as exc:
+        # invalid input (bad bounds, unknown points, unreadable files) is a
+        # usage error, never the "refutation found" code
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -45,11 +46,12 @@ class Universe:
             if not lab or not all(ch.isalnum() or ch == "_" for ch in lab):
                 raise ValueError(f"label {lab!r} must be non-empty alphanumeric")
 
-    @property
+    # cached in the instance dict: equality and hashing stay on `labels`
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full(self) -> Mask:
         return (1 << self.size) - 1
 

@@ -7,6 +7,7 @@ mixing domain-side and codomain-side operators are all expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .core import Mask, Universe
@@ -57,23 +58,36 @@ class PointMap:
             for i, t in enumerate(self.assignment)
         }
 
+    # Both tables are built by doubling: the entries for the masks holding
+    # point i are the entries below bit i with point i's contribution added.
+    @cached_property
+    def image_table(self) -> tuple[Mask, ...]:
+        """image_table[A] is the image of source mask A."""
+        table = [0]
+        for t in self.assignment:
+            table += [m | (1 << t) for m in table]
+        return tuple(table)
+
+    @cached_property
+    def preimage_table(self) -> tuple[Mask, ...]:
+        """preimage_table[B] is the preimage of target mask B."""
+        fibres = [0] * self.target.size
+        for i, t in enumerate(self.assignment):
+            fibres[t] |= 1 << i
+        table = [0]
+        for fibre in fibres:
+            table += [m | fibre for m in table]
+        return tuple(table)
+
 
 def image(point_map: PointMap, mask: Mask) -> Mask:
     point_map.source.check(mask)
-    out = 0
-    for i, t in enumerate(point_map.assignment):
-        if mask >> i & 1:
-            out |= 1 << t
-    return out
+    return point_map.image_table[mask]
 
 
 def preimage(point_map: PointMap, mask: Mask) -> Mask:
     point_map.target.check(mask)
-    out = 0
-    for i, t in enumerate(point_map.assignment):
-        if mask >> t & 1:
-            out |= 1 << i
-    return out
+    return point_map.preimage_table[mask]
 
 
 class MapInstance:

@@ -164,6 +164,14 @@ class TestSearch:
         payload = json.loads(first)
         assert payload["status"] == "REFUTED"
 
+    def test_fixture_claim_is_usage_error(self, capsys):
+        # a worked-example claim checks one fixture; on a 1-point space it
+        # must not come out REFUTED
+        assert run(["search", "--claim", "E3.2d", "--max-n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "REFUTED" not in captured.out
+        assert "E3.2d" in captured.err
+
 
 class TestAuditCommand:
     def test_writes_report(self, tmp_path, capsys):
@@ -237,6 +245,26 @@ class TestInputErrors:
             "operation": {"table": {"[a]": []}},
         }))
         assert run(["show", "--space", str(bad), "--what", "tau-gamma"]) == 2
+
+    def _assert_usage_error(self, argv, capsys, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_search_zero_budget(self, capsys):
+        self._assert_usage_error(
+            ["search", "--claim", "T4.2", "--budget", "0"], capsys, "op_budget")
+
+    def test_search_zero_max_n(self, capsys):
+        self._assert_usage_error(
+            ["search", "--claim", "T4.2", "--max-n", "0"], capsys, "max_n")
+
+    def test_show_unknown_point_in_set(self, files, capsys):
+        self._assert_usage_error(
+            ["show", "--space", files["f5"], "--what", "scl", "--set", "{z}"],
+            capsys, "'z'")
 
 
 def test_module_entry_point(files):
