@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
@@ -623,21 +623,18 @@ def _fam_detail(env: SpaceEnv, computed, reported) -> dict:
 
 
 def _make_e_claim(cid, fixture, statement, pred, detail=None, notes="", uses_sr=False):
-    def _detail(env, b, _d=detail, _f=fixture):
-        if env.full != 7:
-            return {"note": f"instance is not fixture {_f}"}
-        return _d(env)
-
+    # evaluation refuses any instance other than the fixture, so the
+    # predicate and the detail read the fixture's own space
     return Claim(
         id=cid,
         kind="space",
         statement=statement,
         bindings=_unit,
-        holds=lambda env, b, _p=pred: env.full == 7 and _p(env),
+        holds=lambda env, b: pred(env),
         fixture=fixture,
         notes=notes,
         uses_sr_variant=uses_sr,
-        detail=_detail if detail else None,
+        detail=(lambda env, b: detail(env)) if detail else None,
     )
 
 
@@ -918,6 +915,25 @@ def _as_context(instance, opt: EvalOptions) -> SemistarContext:
     )
 
 
+@lru_cache(maxsize=None)
+def _fixture_shape(name: str) -> tuple:
+    space = fixture_catalog()[name]
+    return space.topology, space.gamma.table
+
+
+def _claim_context(claim: Claim, instance, opt: EvalOptions) -> SemistarContext:
+    """The context a space claim reads; a worked-example claim reads only
+    its own fixture's topology and operation table."""
+    ctx = _as_context(instance, opt)
+    if claim.fixture is not None and (
+        (ctx.space.topology, ctx.space.gamma.table) != _fixture_shape(claim.fixture)
+    ):
+        raise ShapeMismatch(
+            f"claim {claim.id} checks fixture {claim.fixture}; the instance is another space"
+        )
+    return ctx
+
+
 def _hypothesis_met(name: str, env: Env) -> bool:
     if env.kind == "space":
         cls = env.classification
@@ -930,6 +946,8 @@ def _hypothesis_met(name: str, env: Env) -> bool:
         if name == "semi-regular":
             return _sr_flag(env)
         raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
+    # a flag is decided when first read, so each hypothesis decides only
+    # the flags it names (T4.2's `regular` never classifies the codomain)
     cls_x = env.inst.domain_ctx.space.classification
     cls_y = env.inst.codomain_ctx.space.classification
     if name == "regular":
@@ -1072,7 +1090,7 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
     opt = options or EvalOptions()
     if claim.kind == "space":
-        ctx = _as_context(instance, opt)
+        ctx = _claim_context(claim, instance, opt)
         env = SpaceEnv(ctx, opt)
         if label is None:
             label = ctx.describe()
@@ -1098,7 +1116,7 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
     opt = options or EvalOptions()
     binding = tuple(witness.get("binding", ()))
     if claim.kind == "space":
-        env: Env = SpaceEnv(_as_context(instance, opt), opt)
+        env: Env = SpaceEnv(_claim_context(claim, instance, opt), opt)
     elif isinstance(instance, MapInstance):
         env = MapEnv(instance, opt)
     else:

@@ -124,6 +124,13 @@ def meet_of_supersets(a: Mask, family: Iterable[Mask], full: Mask) -> Mask:
     return out
 
 
+def dual_table(table: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """The De Morgan dual of a subset operator given as a table over the
+    power set: A -> X - t(X - A)."""
+    full = len(table) - 1
+    return tuple(full ^ table[full ^ a] for a in range(full + 1))
+
+
 def interval_family(bottoms_with_tops: Iterable[tuple[Mask, Mask]]) -> tuple[Mask, ...]:
     """All masks sandwiched in some interval [bottom, top], canonical order."""
     out: set[Mask] = set()
@@ -153,6 +160,22 @@ class Topology:
     def closeds(self) -> tuple[Mask, ...]:
         return canonical_family(self.full ^ o for o in self.opens)
 
+    # per-topology tables, cached in the instance dict: equality and hashing
+    # stay on the fields
+    @cached_property
+    def interior_table(self) -> tuple[Mask, ...]:
+        return tuple(join_of_subsets(a, self.opens) for a in range(self.full + 1))
+
+    @cached_property
+    def closure_table(self) -> tuple[Mask, ...]:
+        return dual_table(self.interior_table)
+
+    @cached_property
+    def semi_opens(self) -> tuple[Mask, ...]:
+        """The classical semi-open family: A inside cl(int(A))."""
+        closure, interior = self.closure_table, self.interior_table
+        return tuple(a for a in range(self.full + 1) if a & ~closure[interior[a]] == 0)
+
 
 def make_topology(universe: Universe, opens: Iterable[Mask]) -> Topology:
     """Validate an open-set family and return the canonical Topology.
@@ -180,13 +203,13 @@ def make_topology(universe: Universe, opens: Iterable[Mask]) -> Topology:
 def interior(topology: Topology, mask: Mask) -> Mask:
     """Largest open subset of `mask`."""
     topology.universe.check(mask)
-    return join_of_subsets(mask, topology.opens)
+    return topology.interior_table[mask]
 
 
 def closure(topology: Topology, mask: Mask) -> Mask:
     """Smallest closed superset of `mask`."""
     topology.universe.check(mask)
-    return topology.full ^ interior(topology, topology.full ^ mask)
+    return topology.closure_table[mask]
 
 
 def boundary(topology: Topology, mask: Mask) -> Mask:
@@ -198,21 +221,19 @@ def boundary(topology: Topology, mask: Mask) -> Mask:
 def is_semi_open(topology: Topology, mask: Mask) -> bool:
     """A is semi-open when A is inside the closure of its interior."""
     topology.universe.check(mask)
-    return mask & ~closure(topology, interior(topology, mask)) == 0
+    return mask & ~topology.closure_table[topology.interior_table[mask]] == 0
 
 
 def semi_open_family(topology: Topology) -> tuple[Mask, ...]:
     """Every semi-open subset, in canonical order."""
-    return tuple(
-        m for m in range(topology.full + 1) if is_semi_open(topology, m)
-    )
+    return topology.semi_opens
 
 
 def semi_closure(topology: Topology, mask: Mask) -> Mask:
     """Intersection of all semi-closed supersets of `mask`."""
     topology.universe.check(mask)
     full = topology.full
-    semi_closed = [full ^ s for s in semi_open_family(topology)]
+    semi_closed = [full ^ s for s in topology.semi_opens]
     return meet_of_supersets(mask, semi_closed, full)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import Mask, Topology, join_of_subsets, meet_of_supersets
+from .core import Mask, Topology, dual_table, join_of_subsets
 from .ops import GammaOperation, OperationClass
 
 CLOSURE_VARIANTS = ("pointwise", "lattice")
@@ -30,7 +30,9 @@ class GammaSpace:
     def __init__(self, topology: Topology, gamma: GammaOperation):
         if len(gamma.table) != topology.full + 1:
             raise ValueError("operation table does not cover the power set of the universe")
-        if not gamma.expansive_on.on_opens:
+        # the interior and closure kernels below rely on V inside gamma(V)
+        # for every open V, so the table itself is checked, not its flag
+        if any(v & ~gamma.table[v] for v in topology.opens):
             raise ValueError("operation must be expansive on the open sets")
         self.topology = topology
         self.gamma = gamma
@@ -49,20 +51,9 @@ class GammaSpace:
 
     @cached_property
     def int_pointwise_table(self) -> tuple[Mask, ...]:
-        n = self.universe.size
-        tab = self.gamma.table
-        out = []
-        for a in range(self.full + 1):
-            result = 0
-            for x in range(n):
-                if not a >> x & 1:
-                    continue
-                for nbd in self.topology.opens:
-                    if nbd >> x & 1 and tab[nbd] & ~a == 0:
-                        result |= 1 << x
-                        break
-            out.append(result)
-        return tuple(out)
+        # x has an open V around it with gamma(V) inside A exactly when x is
+        # in such a V, since V fits in gamma(V)
+        return image_joins(self.topology.opens, self.gamma.table)
 
     @cached_property
     def tau_gamma(self) -> tuple[Mask, ...]:
@@ -79,23 +70,13 @@ class GammaSpace:
 
     @cached_property
     def cl_pointwise_table(self) -> tuple[Mask, ...]:
-        n = self.universe.size
-        tab = self.gamma.table
-        out = []
-        for a in range(self.full + 1):
-            result = 0
-            for x in range(n):
-                if all(tab[u] & a for u in self.topology.opens if u >> x & 1):
-                    result |= 1 << x
-            out.append(result)
-        return tuple(out)
+        # x misses cl(A) when some open V around it has gamma(V) inside X - A
+        return dual_table(self.int_pointwise_table)
 
     @cached_property
     def cl_lattice_table(self) -> tuple[Mask, ...]:
-        closed = self.gamma_closed_family
-        return tuple(
-            meet_of_supersets(a, closed, self.full) for a in range(self.full + 1)
-        )
+        # gamma-closed sets are the complements of the gamma-open ones
+        return dual_table(self.int_lattice_table)
 
     @cached_property
     def int_lattice_table(self) -> tuple[Mask, ...]:
@@ -110,9 +91,20 @@ class GammaSpace:
 
     @cached_property
     def classification(self) -> OperationClass:
-        from .ops import classify_operation
+        return OperationClass(self)
 
-        return classify_operation(self.topology, self.gamma)
+
+def image_joins(family: tuple[Mask, ...], table: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """Per mask A, the union of the family members whose image fits in A."""
+    pairs = [(table[m], m) for m in family]
+    out = []
+    for a in range(len(table)):
+        joined = 0
+        for image, m in pairs:
+            if image & ~a == 0:
+                joined |= m
+        out.append(joined)
+    return tuple(out)
 
 
 def int_gamma(space: GammaSpace, mask: Mask) -> Mask:

@@ -9,10 +9,11 @@ semi-open sets, so partial tables are completed with an explicit fill policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .core import Mask, Topology, closure, interior, semi_open_family, supersets
+from .core import Mask, Topology, join_of_subsets, supersets
 from .errors import NotExpansiveOnOpens
 
 BUILTIN_KINDS = ("identity", "closure", "interior-closure")
@@ -41,18 +42,75 @@ class GammaOperation:
         return self.table[mask]
 
 
-@dataclass(frozen=True)
 class OperationClass:
-    regular: bool
-    open_op: bool
-    monotone: bool
-    semi_regular_cap: bool
-    semi_regular_cup: bool
-    semi_open_op: bool
+    """The operation-class flags of one GammaSpace, each decided by
+    exhaustive check the first time it is read.
+
+    regular: any two open neighborhoods of a point dominate a third one's
+    image (intersection form). open: every open neighborhood image contains
+    a gamma-open neighborhood. monotone: images preserve inclusion.
+    semi_regular_cap / _cup: the regularity pattern quantified over
+    semi-open neighborhoods, with intersection / union on the right side.
+    semi_open_op: every semi-open neighborhood image contains a semi-open
+    neighborhood.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self.table = space.gamma.table
+
+    def _regular_over(self, family: tuple[Mask, ...], cap: bool) -> bool:
+        tab = self.table
+        for x in range(self.space.universe.size):
+            # only the images of the neighborhoods matter, and a pair with
+            # one image is dominated by its own neighborhood
+            images = {tab[u] for u in family if u >> x & 1}
+            for g, h in combinations(images, 2):
+                target = g & h if cap else g | h
+                if not any(w & ~target == 0 for w in images):
+                    return False
+        return True
+
+    def _has_inner_nbds(self, family: tuple[Mask, ...], inner: tuple[Mask, ...]) -> bool:
+        # each point of U has an inner member around it inside image(U)
+        # exactly when U fits in the join of the inner members inside image(U)
+        tab = self.table
+        return all(u & ~join_of_subsets(tab[u], inner) == 0 for u in family)
+
+    @cached_property
+    def regular(self) -> bool:
+        return self._regular_over(self.space.topology.opens, cap=True)
+
+    @cached_property
+    def open_op(self) -> bool:
+        return self._has_inner_nbds(self.space.topology.opens, self.space.tau_gamma)
+
+    @cached_property
+    def monotone(self) -> bool:
+        # inclusion is generated by adding one point at a time
+        tab = self.table
+        return all(
+            tab[a] & ~tab[a | 1 << i] == 0
+            for a in range(len(tab))
+            for i in range(self.space.universe.size)
+        )
+
+    @cached_property
+    def semi_regular_cap(self) -> bool:
+        return self._regular_over(self.space.topology.semi_opens, cap=True)
+
+    @cached_property
+    def semi_regular_cup(self) -> bool:
+        return self._regular_over(self.space.topology.semi_opens, cap=False)
+
+    @cached_property
+    def semi_open_op(self) -> bool:
+        semi = self.space.topology.semi_opens
+        return self._has_inner_nbds(semi, semi)
 
 
 def _expansivity(topology: Topology, table: tuple[Mask, ...]) -> Expansivity:
-    semi = semi_open_family(topology)
+    semi = topology.semi_opens
     return Expansivity(
         on_opens=all(o & ~table[o] == 0 for o in topology.opens),
         on_semi_opens=all(s & ~table[s] == 0 for s in semi),
@@ -72,11 +130,11 @@ def gamma_builtin(kind: str, topology: Topology) -> GammaOperation:
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin kind {kind!r}, expected one of {BUILTIN_KINDS}")
     if kind == "identity":
-        table = [m for m in range(topology.full + 1)]
+        table = list(range(topology.full + 1))
     elif kind == "closure":
-        table = [closure(topology, m) for m in range(topology.full + 1)]
+        table = list(topology.closure_table)
     else:
-        table = [interior(topology, closure(topology, m)) for m in range(topology.full + 1)]
+        table = [topology.interior_table[c] for c in topology.closure_table]
     return _finish(topology, table, kind)
 
 
@@ -102,73 +160,16 @@ def gamma_from_table(
         elif fill == "identity":
             table.append(m)
         else:
-            table.append(closure(topology, m))
+            table.append(topology.closure_table[m])
     return _finish(topology, table, "table")
 
 
 def classify_operation(topology: Topology, op: GammaOperation) -> OperationClass:
-    """Decide every operation-class flag by exhaustive check.
+    """The operation-class flags of `op` on `topology`, each decided the
+    first time it is read."""
+    from .gamma import GammaSpace
 
-    regular: any two open neighborhoods of a point dominate a third one's
-    image (intersection form). open: every open neighborhood image contains
-    a gamma-open neighborhood. monotone: images preserve inclusion.
-    semi_regular_cap / _cup: the regularity pattern quantified over
-    semi-open neighborhoods, with intersection / union on the right side.
-    semi_open_op: every semi-open neighborhood image contains a semi-open
-    neighborhood.
-    """
-    from .gamma import GammaSpace, gamma_open_family
-
-    n = topology.universe.size
-    opens = topology.opens
-    semi = semi_open_family(topology)
-    tab = op.table
-    tau_gamma = gamma_open_family(GammaSpace(topology, op))
-
-    def regular_over(family: tuple[Mask, ...], cap: bool) -> bool:
-        for x in range(n):
-            nbds = [u for u in family if u >> x & 1]
-            for u in nbds:
-                for v in nbds:
-                    target = tab[u] & tab[v] if cap else tab[u] | tab[v]
-                    if not any(tab[w] & ~target == 0 for w in nbds):
-                        return False
-        return True
-
-    def open_op() -> bool:
-        for x in range(n):
-            for u in opens:
-                if not u >> x & 1:
-                    continue
-                if not any(b >> x & 1 and b & ~tab[u] == 0 for b in tau_gamma):
-                    return False
-        return True
-
-    def monotone() -> bool:
-        full = topology.full
-        for a in range(full + 1):
-            for b in supersets(a, full):
-                if tab[a] & ~tab[b]:
-                    return False
-        return True
-
-    def semi_open_op() -> bool:
-        for x in range(n):
-            for u in semi:
-                if not u >> x & 1:
-                    continue
-                if not any(s >> x & 1 and s & ~tab[u] == 0 for s in semi):
-                    return False
-        return True
-
-    return OperationClass(
-        regular=regular_over(opens, cap=True),
-        open_op=open_op(),
-        monotone=monotone(),
-        semi_regular_cap=regular_over(semi, cap=True),
-        semi_regular_cup=regular_over(semi, cap=False),
-        semi_open_op=semi_open_op(),
-    )
+    return GammaSpace(topology, op).classification
 
 
 def enumerate_operations(
@@ -193,10 +194,8 @@ def enumerate_operations(
         emitted += 1
         if budget is not None and emitted >= budget:
             return
-    if domain == "opens":
-        keys = topology.opens
-    else:
-        keys = tuple(sorted(set(topology.opens) | set(semi_open_family(topology))))
+    # every open set is semi-open, so the semi-open domain holds the opens
+    keys = topology.opens if domain == "opens" else topology.semi_opens
     choice_lists = [tuple(supersets(k, topology.full)) for k in keys]
     for combo in product(*choice_lists):
         yield gamma_from_table(topology, dict(zip(keys, combo)), fill="identity")

@@ -11,14 +11,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import (
-    Mask,
-    interval_family,
-    join_of_subsets,
-    meet_of_supersets,
-    semi_open_family as classical_semi_open_family,
-)
-from .gamma import CLOSURE_VARIANTS, GammaSpace
+from .core import Mask, dual_table, interval_family, join_of_subsets
+from .gamma import CLOSURE_VARIANTS, GammaSpace, image_joins
 
 
 class SemistarContext:
@@ -86,10 +80,8 @@ class SemistarContext:
 
     @cached_property
     def scl_table(self) -> tuple[Mask, ...]:
-        return tuple(
-            meet_of_supersets(a, self.sc_family, self.full)
-            for a in range(self.full + 1)
-        )
+        # the semi-closed sets are the complements of the semi-open ones
+        return dual_table(self.sint_table)
 
     @cached_property
     def sint_table(self) -> tuple[Mask, ...]:
@@ -99,19 +91,10 @@ class SemistarContext:
 
     @cached_property
     def sint_pointwise_table(self) -> tuple[Mask, ...]:
-        classical = classical_semi_open_family(self.space.topology)
-        tab = self.space.gamma.table
-        n = self.universe.size
-        out = []
-        for a in range(self.full + 1):
-            result = 0
-            for x in range(n):
-                if not a >> x & 1:
-                    continue
-                if any(u >> x & 1 and tab[u] & ~a == 0 for u in classical):
-                    result |= 1 << x
-            out.append(result)
-        return tuple(out)
+        # the points of A lying in a classically semi-open U with image(U)
+        # inside A
+        joins = image_joins(self.space.topology.semi_opens, self.space.gamma.table)
+        return tuple(a & j for a, j in enumerate(joins))
 
 
 class ClosedChecks(NamedTuple):

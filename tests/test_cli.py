@@ -129,6 +129,12 @@ class TestCheck:
         assert run(["check", "--claim", "T0.0", "--space", files["f5"]]) == 2
         assert "T0.0" in capsys.readouterr().err
 
+    def test_fixture_claim_on_another_space_is_usage_error(self, files, capsys):
+        assert run(["check", "--claim", "E3.2a", "--space", files["f5"]]) == 2
+        captured = capsys.readouterr()
+        assert "REFUTED" not in captured.out
+        assert captured.err.startswith("error: claim E3.2a checks fixture F1")
+
     def test_json_output(self, files, capsys):
         code = run(["check", "--claim", "E3.25b", "--space", files["f5"], "--json"])
         assert code == 0

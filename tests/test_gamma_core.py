@@ -9,6 +9,7 @@ from topogamma import (
     cl_gamma,
     cl_gamma_lattice,
     closure,
+    default_universe,
     enumerate_topologies,
     gamma_builtin,
     gamma_open_family,
@@ -121,6 +122,16 @@ class TestSpaceValidation:
         bad = GammaOperation((0, 1), "table", Expansivity(True, True, True))
         with pytest.raises(ValueError):
             GammaSpace(fid.topology, bad)
+
+    def test_checks_the_table_not_its_flag(self):
+        # the flag claims expansive on opens, but the table sends {a} to {}
+        from topogamma import make_topology
+        from topogamma.ops import Expansivity, GammaOperation
+
+        topology = make_topology(default_universe(2), [0, A, AB])
+        lie = GammaOperation((0, 0, 2, 3), "lie", Expansivity(True, True, True))
+        with pytest.raises(ValueError, match="expansive"):
+            GammaSpace(topology, lie)
 
 
 def test_identity_degeneration_all_small_topologies():

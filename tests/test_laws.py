@@ -117,6 +117,14 @@ class TestEvaluate:
         with pytest.raises(ShapeMismatch):
             evaluate_claim("T3.14", (fid, fid))
 
+    def test_fixture_claim_refuses_other_space(self, catalog, f5):
+        # E3.2a compares F1's reported family; on F5 it must not refute
+        with pytest.raises(ShapeMismatch, match="F1"):
+            evaluate_claim("E3.2a", f5)
+        with pytest.raises(ShapeMismatch):
+            reevaluate_witness("E3.2a", f5, {"binding": []})
+        assert evaluate_claim("E3.2a", catalog["F1"]).status == REFUTED
+
     def test_accepts_context_instance(self, f5):
         ctx = SemistarContext(f5, "lattice")
         v = evaluate_claim("T3.14", ctx)
