@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from . import maps
 from .core import (
+    ENUMERATION_CAP,
     Mask,
     interval_family,
     meet_of_supersets,
@@ -31,7 +33,7 @@ from .core import (
 from .errors import ShapeMismatch, UnknownClaim
 from .fixtures import FIXTURE_NOTES, FIXTURE_ORDER, fixture_catalog
 from .gamma import CLOSURE_VARIANTS, GammaSpace
-from .maps import MapInstance, PointMap, image, preimage
+from .maps import MapInstance, PointMap
 from .ops import BUILTIN_KINDS, enumerate_operations, gamma_builtin
 from .semistar import SemistarContext
 
@@ -66,6 +68,10 @@ class EvalOptions:
     map_seed: int = 0
 
     def __post_init__(self):
+        # hashable fields, so that options can key the gate cache
+        object.__setattr__(self, "drop", frozenset(self.drop))
+        if self.require is not None:
+            object.__setattr__(self, "require", tuple(self.require))
         if self.closure_variant not in CLOSURE_VARIANTS:
             raise ValueError(f"unknown closure variant {self.closure_variant!r}")
         if self.semi_regular_variant not in SEMI_REGULAR_VARIANTS:
@@ -135,7 +141,7 @@ class SpaceEnv:
         return self.ctx.sint_pointwise_table[a]
 
     def sbd(self, a: Mask) -> Mask:
-        return self.scl(a) & self.scl(self.full ^ a)
+        return self.ctx.sbd_table[a]
 
     def sext(self, a: Mask) -> Mask:
         return self.sint(self.full ^ a)
@@ -165,33 +171,30 @@ class SpaceEnv:
 
 
 class MapEnv:
-    """Evaluation environment over one map instance."""
+    """Evaluation environment over one map instance: the two contexts and the
+    point map's tables, which predicates index with masks of the right side."""
 
     kind = "map"
 
     def __init__(self, inst: MapInstance, opt: EvalOptions):
         self.inst = inst
         self.opt = opt
-        self.X = SpaceEnv(inst.domain_ctx, opt)
-        self.Y = SpaceEnv(inst.codomain_ctx, opt)
+        self.X = inst.domain_ctx
+        self.Y = inst.codomain_ctx
+        self.img = inst.map.image_table
+        self.pre = inst.map.preimage_table
 
-    def img(self, a: Mask) -> Mask:
-        return image(self.inst.map, a)
-
-    def pre(self, b: Mask) -> Mask:
-        return preimage(self.inst.map, b)
-
-    @cached_property
-    def semi_continuous(self) -> bool:
-        from .maps import is_gamma_semi_continuous
-
-        return is_gamma_semi_continuous(self.inst).ok
-
-    @cached_property
-    def semi_open_map(self) -> bool:
-        from .maps import is_gamma_semi_open_map
-
-        return is_gamma_semi_open_map(self.inst).ok
+    def __getattr__(self, name: str) -> bool:
+        # the whole-map flags, stored as plain attributes on first read: an env
+        # lives for one instance, so a cached_property's lock costs every time
+        if name == "semi_continuous":
+            value = maps.is_gamma_semi_continuous(self.inst).ok
+        elif name == "semi_open_map":
+            value = maps.is_gamma_semi_open_map(self.inst).ok
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 Env = Union[SpaceEnv, MapEnv]
@@ -287,7 +290,7 @@ def _tau_disjoint(env: SpaceEnv) -> Iterator[tuple]:
 
 
 def _so_singles_x(env: MapEnv) -> Iterator[tuple]:
-    for a in env.X.so:
+    for a in env.X.so_family:
         yield (a,)
 
 
@@ -466,16 +469,11 @@ def _l412(env, b):
 # --- map predicates ---------------------------------------------------------
 
 def _pointwise_continuity(env: MapEnv) -> bool:
-    pm = env.inst.map
-    for x in range(env.X.universe.size):
-        fx = pm.assignment[x]
-        bit = 1 << x
-        for b in env.Y.tau:
-            if not b >> fx & 1:
-                continue
-            if not any(a & bit and env.img(a) & ~b == 0 for a in env.X.so):
-                return False
-    return True
+    # a semi-open A holding x has f(A) inside B exactly when A lies inside
+    # f^-1(B), so f is pointwise continuous iff every f^-1(B) is its own
+    # semi-interior
+    sint, pre = env.X.sint_table, env.pre
+    return all(sint[pre[b]] == pre[b] for b in env.Y.space.tau_gamma)
 
 
 def _t42(env, b):
@@ -490,8 +488,10 @@ def _t42_detail(env, b):
 
 
 def _open_map_imageside(env: MapEnv) -> bool:
-    for e in env.X.masks:
-        if env.img(env.X.int_g(e)) & ~env.Y.cl_g(env.Y.int_g(env.img(e))):
+    img, int_x = env.img, env.X.int_table
+    cl_y, int_y = env.Y.cl_table, env.Y.int_table
+    for e in range(env.X.full + 1):
+        if img[int_x[e]] & ~cl_y[int_y[img[e]]]:
             return False
     return True
 
@@ -508,8 +508,10 @@ def _t45_detail(env, b):
 
 
 def _open_map_preimageside(env: MapEnv) -> bool:
-    for g in env.Y.masks:
-        if env.X.int_g(env.pre(g)) & ~env.X.cl_g(env.pre(env.Y.int_g(g))):
+    pre, int_x, cl_x = env.pre, env.X.int_table, env.X.cl_table
+    int_y = env.Y.int_table
+    for g in range(env.Y.full + 1):
+        if int_x[pre[g]] & ~cl_x[pre[int_y[g]]]:
             return False
     return True
 
@@ -527,17 +529,16 @@ def _t46_detail(env, b):
 
 def _t47(env, b):
     (a,) = b
-    return env.img(a) in env.Y.so_set
+    return env.img[a] in env.Y.so_set
 
 
 def _t48_sides(env: MapEnv) -> tuple:
+    img, pre = env.img, env.pre
     e1 = env.semi_continuous
-    e2 = all(
-        env.img(env.X.scl(a)) & ~env.Y.cl_g(env.img(a)) == 0 for a in env.X.masks
-    )
-    e3 = all(
-        env.X.sbd(env.pre(b)) & ~env.pre(env.Y.bd_g(b)) == 0 for b in env.Y.masks
-    )
+    scl_x, cl_y = env.X.scl_table, env.Y.cl_table
+    e2 = all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(env.X.full + 1))
+    sbd_x, bd_y = env.X.sbd_table, env.Y.bd_table
+    e3 = all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(env.Y.full + 1))
     return e1, e2, e3
 
 
@@ -552,9 +553,8 @@ def _t48_detail(env, b):
 
 
 def _t49_rhs(env: MapEnv) -> bool:
-    return all(
-        env.X.scl(env.pre(g)) & ~env.X.cl_g(env.pre(g)) == 0 for g in env.Y.masks
-    )
+    scl_x, cl_x = env.X.scl_table, env.X.cl_table
+    return all(scl_x[p] & ~cl_x[p] == 0 for p in env.pre)
 
 
 def _t49(env, b):
@@ -566,9 +566,9 @@ def _t49_detail(env, b):
 
 
 def _t49p_rhs(env: MapEnv) -> bool:
-    return all(
-        env.img(env.X.scl(env.pre(g))) & ~env.Y.cl_g(g) == 0 for g in env.Y.masks
-    )
+    img, pre = env.img, env.pre
+    scl_x, cl_y = env.X.scl_table, env.Y.cl_table
+    return all(img[scl_x[pre[g]]] & ~cl_y[g] == 0 for g in range(env.Y.full + 1))
 
 
 def _t49p(env, b):
@@ -580,9 +580,8 @@ def _t49p_detail(env, b):
 
 
 def _t413_rhs(env: MapEnv) -> bool:
-    return all(
-        env.pre(env.Y.sbd(c)) & ~env.X.bd_g(env.pre(c)) == 0 for c in env.Y.masks
-    )
+    pre, sbd_y, bd_x = env.pre, env.Y.sbd_table, env.X.bd_table
+    return all(pre[sbd_y[c]] & ~bd_x[pre[c]] == 0 for c in range(env.Y.full + 1))
 
 
 def _t413(env, b):
@@ -638,9 +637,8 @@ def _make_e_claim(cid, fixture, statement, pred, detail=None, notes="", uses_sr=
     )
 
 
-def _sr_flag(env: SpaceEnv) -> bool:
-    cls = env.classification
-    if env.opt.semi_regular_variant == "cap":
+def _sr_flag(cls, opt: EvalOptions) -> bool:
+    if opt.semi_regular_variant == "cap":
         return cls.semi_regular_cap
     return cls.semi_regular_cup
 
@@ -857,7 +855,7 @@ def _build_registry() -> tuple:
         _make_e_claim(
             "E3.23b", "F4",
             "the closure operation is not semi-regular",
-            lambda env: not _sr_flag(env),
+            lambda env: not _sr_flag(env.classification, env.opt),
             uses_sr=True,
             notes="operation read as A -> cl(A)",
         ),
@@ -880,7 +878,7 @@ def _build_registry() -> tuple:
         _make_e_claim(
             "E3.25c", "F5",
             "the interior-of-closure operation is not semi-regular",
-            lambda env: not _sr_flag(env),
+            lambda env: not _sr_flag(env.classification, env.opt),
             uses_sr=True,
         ),
     ]
@@ -944,52 +942,50 @@ def _hypothesis_met(name: str, env: Env) -> bool:
         if name == "monotone":
             return cls.monotone
         if name == "semi-regular":
-            return _sr_flag(env)
+            return _sr_flag(cls, env.opt)
         raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
-    # a flag is decided when first read, so each hypothesis decides only
-    # the flags it names (T4.2's `regular` never classifies the codomain)
-    cls_x = env.inst.domain_ctx.space.classification
-    cls_y = env.inst.codomain_ctx.space.classification
-    if name == "regular":
-        return cls_x.regular
-    if name == "open":
-        return cls_x.open_op and cls_y.open_op
-    if name == "monotone":
-        return cls_x.monotone and cls_y.monotone
-    if name == "semi-regular":
-        return _sr_flag(env.X)
     if name == "bijective":
         return env.inst.map.bijective
     if name == "semi-continuous":
         return env.semi_continuous
     if name == "semi-open-map":
         return env.semi_open_map
+    # a flag is decided when first read, so each hypothesis decides only
+    # the flags it names (T4.2's `regular` never classifies the codomain)
+    cls_x = env.X.space.classification
+    if name == "regular":
+        return cls_x.regular
+    if name == "semi-regular":
+        return _sr_flag(cls_x, env.opt)
+    cls_y = env.Y.space.classification
+    if name == "open":
+        return cls_x.open_op and cls_y.open_op
+    if name == "monotone":
+        return cls_x.monotone and cls_y.monotone
     raise ValueError(f"unknown hypothesis {name!r}")
 
 
-def _effective_hypotheses(claim: Claim, opt: EvalOptions) -> tuple:
-    base = claim.hypotheses if opt.require is None else tuple(opt.require)
-    return tuple(h for h in base if h not in opt.drop)
-
-
-def _variant_record(claim: Claim, opt: EvalOptions, closure: str, hyps: tuple) -> dict:
-    return {
+@lru_cache(maxsize=None)
+def _gate(hypotheses: tuple, uses_interior: bool, opt: EvalOptions,
+          closure: str) -> tuple:
+    """The hypotheses a claim enforces under `opt`, and its variant record.
+    Callers copy the record before adding to it."""
+    base = hypotheses if opt.require is None else tuple(opt.require)
+    hyps = tuple(h for h in base if h not in opt.drop)
+    variant = {
         "closure": closure,
         "semi_regular": opt.semi_regular_variant,
-        "interior": opt.interior_reading if claim.uses_interior_reading else "lattice",
+        "interior": opt.interior_reading if uses_interior else "lattice",
         "hypotheses": "+".join(hyps) if hyps else "none",
     }
+    return hyps, variant
 
 
 def _render_binding(claim: Claim, env: Env, binding: tuple) -> dict:
+    universe = env.universe if env.kind == "space" else env.X.universe
     slots = {}
     for (name, kind), value in zip(claim.slots, binding):
-        if kind == _SET:
-            slots[name] = env.fmt(value) if env.kind == "space" else env.X.fmt(value)
-        elif kind == _SETX:
-            slots[name] = env.X.fmt(value)
-        else:
-            slots[name] = value
+        slots[name] = universe.format_set(value) if kind in (_SET, _SETX) else value
     witness = {"binding": list(binding)}
     if slots:
         witness["slots"] = slots
@@ -1000,8 +996,10 @@ def _render_binding(claim: Claim, env: Env, binding: tuple) -> dict:
 
 def _run_env(claim: Claim, env: Env, opt: EvalOptions, label: str,
              closure: str, extra_variant: Optional[dict] = None) -> Verdict:
-    hyps = _effective_hypotheses(claim, opt)
-    variant = _variant_record(claim, opt, closure, hyps)
+    """Gate, then sweep the bindings. A verdict labelled "" is one the
+    caller will most likely discard, so its witness holds the binding only."""
+    hyps, variant = _gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)
+    variant = dict(variant)
     if extra_variant:
         variant.update(extra_variant)
     for h in hyps:
@@ -1010,7 +1008,10 @@ def _run_env(claim: Claim, env: Env, opt: EvalOptions, label: str,
             return Verdict(claim.id, label, VACUOUS, variant, None)
     for binding in claim.bindings(env):
         if not claim.holds(env, binding):
-            witness = _render_binding(claim, env, binding)
+            if label:
+                witness = _render_binding(claim, env, binding)
+            else:
+                witness = {"binding": list(binding)}
             return Verdict(claim.id, label, REFUTED, variant, witness)
     return Verdict(claim.id, label, CONFIRMED, variant, None)
 
@@ -1059,8 +1060,7 @@ def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
             verdict.witness["assign"] = pm.as_labels()
             verdict.variant["maps"] = f"{sweep_note}, met={met}"
             return verdict
-    hyps = _effective_hypotheses(claim, opt)
-    variant = _variant_record(claim, opt, closure, hyps)
+    variant = dict(_gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)[1])
     variant["maps"] = f"{sweep_note}, met={met}"
     if met == 0:
         variant["unmet"] = "no map met the hypotheses"
@@ -1084,7 +1084,8 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     seeded sample, recorded in the verdict).
 
     `label` names the instance in the verdict; None renders the instance's
-    description. A caller that discards most verdicts passes "" and labels
+    description. A caller that discards most verdicts passes "": a REFUTED
+    verdict then carries only its binding, and the caller labels and renders
     only the verdicts it keeps.
     """
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
@@ -1145,8 +1146,8 @@ class SearchConfig:
     map_seed: int = 0
 
     def __post_init__(self):
-        if self.max_n < 1:
-            raise ValueError("max_n must be positive")
+        if not 1 <= self.max_n <= ENUMERATION_CAP:
+            raise ValueError(f"max_n must be between 1 and {ENUMERATION_CAP}")
         if self.op_budget < 1:
             raise ValueError("op_budget must be positive")
 
@@ -1229,8 +1230,8 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
     Hypotheses named in `config.drop` are not enforced, which turns necessity
     examples into reproducible searches. Returns the first refuted verdict,
     or an exhausted outcome with full accounting. Only the first refutation
-    is kept, so only it is labelled. Worked-example claims are bound to
-    their fixture and cannot be searched.
+    is kept, so only it is labelled and has its witness rendered.
+    Worked-example claims are bound to their fixture and cannot be searched.
     """
     claim = get_claim(claim_id)
     if claim.fixture is not None:
@@ -1257,6 +1258,8 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
             refutations += 1
             if first is None:
                 verdict.instance = instance.describe()
+                env = SpaceEnv(instance, opt) if claim.kind == "space" else MapEnv(instance, opt)
+                verdict.witness = _render_binding(claim, env, tuple(verdict.witness["binding"]))
                 if claim.kind == "space":
                     first_instance = instance.space
                 else:

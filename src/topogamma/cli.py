@@ -45,6 +45,9 @@ from .semistar import (
 
 SHOW_WHAT = ("tau-gamma", "so", "sc", "scl", "sint", "sbd", "sext", "classify")
 _POINTWISE_WHAT = {"scl": s_closure, "sint": s_interior, "sbd": s_boundary, "sext": s_exterior}
+_SR_HELP = ("reading of the semi-regular hypothesis: cap (intersection form) or "
+            "cup (union form). cup holds for every operation (take w = u), so "
+            "under cup the hypothesis gates nothing")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--codomain")
     check.add_argument("--codomain-op")
     check.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    check.add_argument("--sr", choices=("cap", "cup"), default="cap")
+    check.add_argument("--sr", choices=("cap", "cup"), default="cap", help=_SR_HELP)
     check.add_argument("--interior", choices=("lattice", "pointwise"), default="lattice")
     check.add_argument("--drop", action="append", default=[], choices=KNOWN_HYPOTHESES,
                        help="evaluate with this hypothesis unenforced (repeatable)")
@@ -85,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="operations per topology")
     search.add_argument("--domain", choices=OPERATION_DOMAINS, default="opens")
     search.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    search.add_argument("--sr", choices=("cap", "cup"), default="cap")
+    search.add_argument("--sr", choices=("cap", "cup"), default="cap", help=_SR_HELP)
     search.add_argument("--no-stop", action="store_true",
                         help="keep sweeping after the first refutation")
     search.add_argument("--json", action="store_true")

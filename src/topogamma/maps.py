@@ -122,19 +122,19 @@ class MapCheck(NamedTuple):
 
 def is_gamma_semi_continuous(instance: MapInstance) -> MapCheck:
     """Preimages of codomain gamma-open sets are semi-open in the domain."""
-    pm = instance.map
+    pre = instance.map.preimage_table
     so_x = instance.domain_ctx.so_set
     for b in instance.codomain_ctx.space.tau_gamma:
-        if preimage(pm, b) not in so_x:
+        if pre[b] not in so_x:
             return MapCheck(False, b)
     return MapCheck(True, None)
 
 
 def is_gamma_semi_open_map(instance: MapInstance) -> MapCheck:
     """Images of domain gamma-open sets are semi-open in the codomain."""
-    pm = instance.map
+    img = instance.map.image_table
     so_y = instance.codomain_ctx.so_set
     for u in instance.domain_ctx.space.tau_gamma:
-        if image(pm, u) not in so_y:
+        if img[u] not in so_y:
             return MapCheck(False, u)
     return MapCheck(True, None)

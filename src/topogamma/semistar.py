@@ -9,6 +9,7 @@ variants is the claims engine's job, never an operator's.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import and_
 from typing import NamedTuple
 
 from .core import Mask, dual_table, interval_family, join_of_subsets
@@ -38,18 +39,31 @@ class SemistarContext:
         return f"{self.space.describe()} closure={self.closure_variant}"
 
     # variant-matched base operators ------------------------------------
-    def cl_g(self, mask: Mask) -> Mask:
+    @cached_property
+    def cl_table(self) -> tuple[Mask, ...]:
         if self.closure_variant == "pointwise":
-            return self.space.cl_pointwise_table[mask]
-        return self.space.cl_lattice_table[mask]
+            return self.space.cl_pointwise_table
+        return self.space.cl_lattice_table
+
+    @cached_property
+    def int_table(self) -> tuple[Mask, ...]:
+        if self.closure_variant == "pointwise":
+            return self.space.int_pointwise_table
+        return self.space.int_lattice_table
+
+    @cached_property
+    def bd_table(self) -> tuple[Mask, ...]:
+        # entry X - A of a power-set table is its entry A read backwards
+        return tuple(map(and_, self.cl_table, reversed(self.cl_table)))
+
+    def cl_g(self, mask: Mask) -> Mask:
+        return self.cl_table[mask]
 
     def int_g(self, mask: Mask) -> Mask:
-        if self.closure_variant == "pointwise":
-            return self.space.int_pointwise_table[mask]
-        return self.space.int_lattice_table[mask]
+        return self.int_table[mask]
 
     def bd_g(self, mask: Mask) -> Mask:
-        return self.cl_g(mask) & self.cl_g(self.full ^ mask)
+        return self.bd_table[mask]
 
     @property
     def gamma_closed_family(self) -> tuple[Mask, ...]:
@@ -82,6 +96,10 @@ class SemistarContext:
     def scl_table(self) -> tuple[Mask, ...]:
         # the semi-closed sets are the complements of the semi-open ones
         return dual_table(self.sint_table)
+
+    @cached_property
+    def sbd_table(self) -> tuple[Mask, ...]:
+        return tuple(map(and_, self.scl_table, reversed(self.scl_table)))
 
     @cached_property
     def sint_table(self) -> tuple[Mask, ...]:
@@ -146,7 +164,7 @@ def s_interior_pointwise(ctx: SemistarContext, mask: Mask) -> Mask:
 
 def s_boundary(ctx: SemistarContext, mask: Mask) -> Mask:
     ctx.universe.check(mask)
-    return ctx.scl_table[mask] & ctx.scl_table[ctx.full ^ mask]
+    return ctx.sbd_table[mask]
 
 
 def s_exterior(ctx: SemistarContext, mask: Mask) -> Mask:

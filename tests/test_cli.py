@@ -267,6 +267,12 @@ class TestInputErrors:
         self._assert_usage_error(
             ["search", "--claim", "T4.2", "--max-n", "0"], capsys, "max_n")
 
+    def test_search_max_n_above_enumeration_cap(self, capsys):
+        # refused before any instance is visited: T3.13 refutes at n <= 5,
+        # so a search that started would print REFUTED and exit 1
+        self._assert_usage_error(
+            ["search", "--claim", "T3.13", "--max-n", "6"], capsys, "max_n")
+
     def test_show_unknown_point_in_set(self, files, capsys):
         self._assert_usage_error(
             ["show", "--space", files["f5"], "--what", "scl", "--set", "{z}"],

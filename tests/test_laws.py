@@ -136,6 +136,12 @@ class TestEvaluate:
         v = evaluate_claim("T3.20", f5, EvalOptions(require=("open",)))
         assert v.variant["hypotheses"] == "open"
 
+    def test_list_and_set_overrides(self, f5):
+        # options key a cache, so mutable overrides are frozen on the way in
+        opt = EvalOptions(require=["open", "regular"], drop={"regular"})
+        assert opt.require == ("open", "regular") and opt.drop == frozenset({"regular"})
+        assert evaluate_claim("T3.20", f5, opt).variant["hypotheses"] == "open"
+
     def test_interior_reading_recorded(self, f5):
         v = evaluate_claim("T3.26.1", f5, EvalOptions(interior_reading="pointwise",
                                                       drop=frozenset({"semi-regular"})))

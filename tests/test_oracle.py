@@ -14,7 +14,7 @@ import pytest
 from topogamma import GammaSpace, SemistarContext, enumerate_topologies, gamma_builtin
 from topogamma.core import closure, interior, is_semi_open, semi_closure, semi_open_family
 from topogamma.ops import BUILTIN_KINDS, OPERATION_DOMAINS, enumerate_operations
-from topogamma.semistar import s_interior_pointwise
+from topogamma.semistar import s_boundary, s_interior_pointwise
 
 
 def _cases() -> list:
@@ -216,3 +216,28 @@ def test_lazy_flags_match_eager_classifier():
         # another having been read first
         got = {name: getattr(cls, name) for name in reversed(list(expected))}
         assert got == expected, space.describe()
+
+
+@pytest.mark.parametrize("variant", ["pointwise", "lattice"])
+def test_context_operator_tables(variant):
+    # cl_g and int_g are the variant's gamma-closure and gamma-interior; the
+    # boundaries are a set's closure met with its complement's closure
+    for space in CASES:
+        ctx = SemistarContext(space, variant)
+        full, masks = ctx.full, range(ctx.full + 1)
+        tau = _ref_tau_gamma(space)
+        if variant == "pointwise":
+            cl = [_ref_cl_pointwise(space, a) for a in masks]
+            inner = [_ref_int_pointwise(space, a) for a in masks]
+        else:
+            cl = [_meet((full ^ o for o in tau if _subset(a, full ^ o)), full) for a in masks]
+            inner = [_union(o for o in tau if _subset(o, a)) for a in masks]
+        sc = [full ^ s for s in ctx.so_family]
+        scl = [_meet((f for f in sc if _subset(a, f)), full) for a in masks]
+        label = ctx.describe()
+        assert list(ctx.cl_table) == cl == [ctx.cl_g(a) for a in masks], label
+        assert list(ctx.int_table) == inner == [ctx.int_g(a) for a in masks], label
+        bd = [cl[a] & cl[full ^ a] for a in masks]
+        assert list(ctx.bd_table) == bd == [ctx.bd_g(a) for a in masks], label
+        sbd = [scl[a] & scl[full ^ a] for a in masks]
+        assert list(ctx.sbd_table) == sbd == [s_boundary(ctx, a) for a in masks], label

@@ -110,6 +110,21 @@ class TestMapSearchMatchesReference:
         assert outcome.witness.witness["assign"] == outcome.witness_instance.map.as_labels()
 
 
+@pytest.mark.parametrize("claim_id, drop", [
+    ("T3.24", frozenset({"semi-regular"})),
+    ("T3.13", frozenset()),
+])
+def test_space_search_witness_is_the_labelled_verdict(claim_id, drop):
+    # the search renders its first witness after the sweep; it must equal
+    # the verdict evaluate_claim renders for the same space
+    config = SearchConfig(max_n=3, op_budget=3, drop=drop)
+    outcome = search_counterexample(claim_id, config)
+    assert outcome.status == REFUTED
+    expected = evaluate_claim(claim_id, outcome.witness_instance, config.options())
+    assert expected.witness["slots"]
+    assert outcome.witness.to_dict() == expected.to_dict()
+
+
 class TestReplayable:
     def test_source_advances_only_on_demand(self):
         pulled = []
