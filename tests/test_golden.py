@@ -1,10 +1,13 @@
-"""The audit report against its committed golden copy: `audit --json` and
-`audit` output recorded before the space-search fast paths, byte for byte."""
+"""Reports against their committed golden copies, byte for byte: the audit
+report (`audit --json` and `audit`, recorded before the space-search fast
+paths) and the registry listing (`claims --json` and `claims`, recorded
+before the statements and hypotheses moved into declaration tables)."""
 from pathlib import Path
 
 import pytest
 
 from topogamma import audit_paper
+from topogamma.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,3 +23,12 @@ def test_audit_json_matches_golden(report):
 
 def test_audit_text_matches_golden(report):
     assert report.to_text() == (GOLDEN / "audit.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["claims", "--json"], "claims.json"),
+    (["claims"], "claims.txt"),
+])
+def test_claims_listing_matches_golden(capsys, argv, golden):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
