@@ -7,9 +7,16 @@ exhaustively on finite instances, searches enumerated instance streams for
 counterexamples when hypotheses are dropped, and replays the whole registry
 against the fixture catalog to produce a deterministic audit report.
 
-Worked-example entries (ids starting with E) compare families and flags
-reported for the catalog fixtures against the definitional oracle; where the
-oracle disagrees, the audit files the entry under errata instead of failing.
+A claim is a declaration over tables that already exist. A space claim's
+predicate indexes its `SemistarContext` (`scl_table`, `sint_table`,
+`sbd_table`, `so_set`, ...); a map claim's indexes the two contexts and the
+point map's tables through a `MapEnv`. Every predicate is called as
+`holds(subject, opt, binding)`, so the evaluation options reach it
+explicitly. The map "iff" claims are declared as named sides that must
+agree, and the worked-example entries (ids starting with E) as rows of a
+table comparing a computed value with the one reported for a catalog
+fixture; where the oracle disagrees, the audit files the entry under
+errata instead of failing.
 """
 from __future__ import annotations
 
@@ -17,7 +24,8 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import maps
 from .core import (
@@ -25,7 +33,6 @@ from .core import (
     Mask,
     interval_family,
     meet_of_supersets,
-    semi_open_family as classical_semi_open_family,
     submasks,
     supersets,
     enumerate_topologies,
@@ -35,7 +42,7 @@ from .fixtures import FIXTURE_NOTES, FIXTURE_ORDER, fixture_catalog
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .maps import MapInstance, PointMap
 from .ops import BUILTIN_KINDS, enumerate_operations, gamma_builtin
-from .semistar import SemistarContext
+from .semistar import SemistarContext, int_of_cl_closed, sandwich_closed
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -87,98 +94,12 @@ class EvalOptions:
                     raise ValueError(f"unknown hypothesis {name!r}")
 
 
-class SpaceEnv:
-    """Evaluation environment over one semistar context."""
-
-    kind = "space"
-
-    def __init__(self, ctx: SemistarContext, opt: EvalOptions):
-        self.ctx = ctx
-        self.opt = opt
-        self.full = ctx.full
-        self.universe = ctx.universe
-
-    @property
-    def masks(self) -> range:
-        return range(self.full + 1)
-
-    @property
-    def so(self):
-        return self.ctx.so_family
-
-    @property
-    def so_set(self):
-        return self.ctx.so_set
-
-    @property
-    def sc(self):
-        return self.ctx.sc_family
-
-    @property
-    def sc_set(self):
-        return self.ctx.sc_set
-
-    @property
-    def tau(self):
-        return self.ctx.space.tau_gamma
-
-    @property
-    def tau_set(self):
-        return self.ctx.space.tau_gamma_set
-
-    def scl(self, a: Mask) -> Mask:
-        return self.ctx.scl_table[a]
-
-    def sint(self, a: Mask) -> Mask:
-        return self.ctx.sint_table[a]
-
-    def sint_pw(self, a: Mask) -> Mask:
-        return self.ctx.sint_pointwise_table[a]
-
-    def si(self, a: Mask) -> Mask:
-        if self.opt.interior_reading == "lattice":
-            return self.ctx.sint_table[a]
-        return self.ctx.sint_pointwise_table[a]
-
-    def sbd(self, a: Mask) -> Mask:
-        return self.ctx.sbd_table[a]
-
-    def sext(self, a: Mask) -> Mask:
-        return self.sint(self.full ^ a)
-
-    def cl_g(self, a: Mask) -> Mask:
-        return self.ctx.cl_g(a)
-
-    def int_g(self, a: Mask) -> Mask:
-        return self.ctx.int_g(a)
-
-    def bd_g(self, a: Mask) -> Mask:
-        return self.ctx.bd_g(a)
-
-    @property
-    def gclosed(self):
-        return self.ctx.gamma_closed_family
-
-    @property
-    def classification(self):
-        return self.ctx.space.classification
-
-    def fmt(self, mask: Mask) -> str:
-        return self.universe.format_set(mask)
-
-    def fmt_family(self, fam) -> list:
-        return [list(self.universe.names_of(m)) for m in fam]
-
-
 class MapEnv:
     """Evaluation environment over one map instance: the two contexts and the
     point map's tables, which predicates index with masks of the right side."""
 
-    kind = "map"
-
-    def __init__(self, inst: MapInstance, opt: EvalOptions):
+    def __init__(self, inst: MapInstance):
         self.inst = inst
-        self.opt = opt
         self.X = inst.domain_ctx
         self.Y = inst.codomain_ctx
         self.img = inst.map.image_table
@@ -197,25 +118,24 @@ class MapEnv:
         return value
 
 
-Env = Union[SpaceEnv, MapEnv]
-
-
 @dataclass(frozen=True)
 class Claim:
-    """One registry entry: an executable statement plus its hypotheses."""
+    """One registry entry: an executable statement plus its hypotheses. The
+    subject of `bindings`, `holds` and `detail` is the `SemistarContext` of a
+    space claim or the `MapEnv` of a map claim."""
 
     id: str
     kind: str                                   # "space" | "map"
     statement: str
-    bindings: Callable[[Env], Iterable[tuple]]
-    holds: Callable[[Env, tuple], bool]
+    bindings: Callable[[object], Iterable[tuple]]
+    holds: Callable[[object, EvalOptions, tuple], bool]
     hypotheses: tuple = ()
     slots: tuple = ()                           # (name, render-kind) pairs
     fixture: Optional[str] = None               # E-claims bind to one fixture
     notes: str = ""
     uses_interior_reading: bool = False
     uses_sr_variant: bool = False
-    detail: Optional[Callable[[Env, tuple], dict]] = None
+    detail: Optional[Callable[[object, EvalOptions, tuple], dict]] = None
 
 
 @dataclass
@@ -238,54 +158,55 @@ class Verdict:
 
 # --- binding generators --------------------------------------------------
 
-def _unit(env: Env) -> Iterator[tuple]:
+def _unit(subject) -> Iterator[tuple]:
     yield ()
 
 
-def _masks(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.masks:
+def _masks(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in range(ctx.full + 1):
         yield (a,)
 
 
-def _pairs(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.masks:
-        for b in env.masks:
+def _pairs(ctx: SemistarContext) -> Iterator[tuple]:
+    masks = range(ctx.full + 1)
+    for a in masks:
+        for b in masks:
             yield (a, b)
 
 
-def _mask_clauses(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.masks:
+def _mask_clauses(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in range(ctx.full + 1):
         for clause in (1, 2, 3):
             yield (a, clause)
 
 
-def _so_pairs(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.so:
-        for b in env.so:
+def _so_pairs(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in ctx.so_family:
+        for b in ctx.so_family:
             yield (a, b)
 
 
-def _sc_singles(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.sc:
+def _sc_singles(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in ctx.sc_family:
         yield (a,)
 
 
-def _so_with_supersets(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.so:
-        for b in supersets(a, env.full):
+def _so_with_supersets(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in ctx.so_family:
+        for b in supersets(a, ctx.full):
             yield (a, b)
 
 
-def _subset_of_sc(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.masks:
-        for b in supersets(a, env.full):
-            if b in env.sc_set:
+def _subset_of_sc(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in range(ctx.full + 1):
+        for b in supersets(a, ctx.full):
+            if b in ctx.sc_set:
                 yield (a, b)
 
 
-def _tau_disjoint(env: SpaceEnv) -> Iterator[tuple]:
-    for a in env.tau:
-        for b in submasks(env.full ^ a):
+def _tau_disjoint(ctx: SemistarContext) -> Iterator[tuple]:
+    for a in ctx.space.tau_gamma:
+        for b in submasks(ctx.full ^ a):
             yield (a, b)
 
 
@@ -294,179 +215,217 @@ def _so_singles_x(env: MapEnv) -> Iterator[tuple]:
         yield (a,)
 
 
-# --- space predicates -----------------------------------------------------
+_SET = "set"
+_SETX = "setX"
+_A = (("A", _SET),)
+_AB = (("A", _SET), ("B", _SET))
 
-def _t313(env, b):
+# the slots a space claim's bindings fill, by binding generator
+_SLOTS = {
+    _masks: _A,
+    _sc_singles: _A,
+    _mask_clauses: (("A", _SET), ("clause", "clause")),
+    _pairs: _AB,
+    _so_pairs: _AB,
+    _so_with_supersets: _AB,
+    _subset_of_sc: _AB,
+    _tau_disjoint: _AB,
+}
+
+
+# --- space predicates: holds(ctx, opt, binding) ------------------------------
+
+def _si(ctx: SemistarContext, opt: EvalOptions) -> tuple:
+    # the semi-interior of the interior reading the T3.26 claims run under
+    if opt.interior_reading == "lattice":
+        return ctx.sint_table
+    return ctx.sint_pointwise_table
+
+
+def _t313(ctx, opt, b):
     a, c = b
-    return env.scl(a | c) == env.scl(a) | env.scl(c)
+    scl = ctx.scl_table
+    return scl[a | c] == scl[a] | scl[c]
 
 
-def _t314(env, b):
+def _t314(ctx, opt, b):
     a, clause = b
-    fa = env.full ^ a
+    full, scl, sint = ctx.full, ctx.scl_table, ctx.sint_table
     if clause == 1:
-        return env.sint(fa) == env.full ^ env.scl(a)
+        return sint[full ^ a] == full ^ scl[a]
     if clause == 2:
-        return env.scl(fa) == env.full ^ env.sint(a)
-    return env.sint(a) == env.full ^ env.scl(fa)
+        return scl[full ^ a] == full ^ sint[a]
+    return sint[a] == full ^ scl[full ^ a]
 
 
-def _t316(env, b):
+def _t316(ctx, opt, b):
     (a,) = b
-    fa = env.full ^ a
-    c1 = (env.full ^ env.sbd(a)) == env.sint(a) | env.sint(fa)
-    c2 = env.scl(a) == env.sint(a) | env.sbd(a)
-    c3 = env.sbd(a) == env.scl(a) & env.scl(fa) and env.sbd(a) == env.scl(a) & ~env.sint(a)
+    fa = ctx.full ^ a
+    scl, sint, sbd = ctx.scl_table, ctx.sint_table, ctx.sbd_table
+    c1 = (ctx.full ^ sbd[a]) == sint[a] | sint[fa]
+    c2 = scl[a] == sint[a] | sbd[a]
+    c3 = sbd[a] == scl[a] & scl[fa] and sbd[a] == scl[a] & ~sint[a]
     return c1 == c2 == c3
 
 
-def _p317a(env, b):
+def _p317a(ctx, opt, b):
     (a,) = b
-    return env.sbd(a) == env.sbd(env.full ^ a)
+    return ctx.sbd_table[a] == ctx.sbd_table[ctx.full ^ a]
 
 
-def _p317b(env, b):
+def _p317b(ctx, opt, b):
     (a,) = b
-    return env.scl(env.scl(a)) == env.scl(a)
+    scl = ctx.scl_table
+    return scl[scl[a]] == scl[a]
 
 
-def _t318_1(env, b):
+def _t318_1(ctx, opt, b):
     (a,) = b
-    return env.sbd(a) == env.scl(a) & ~env.sint(a)
+    return ctx.sbd_table[a] == ctx.scl_table[a] & ~ctx.sint_table[a]
 
 
-def _t318_2(env, b):
+def _t318_2(ctx, opt, b):
     (a,) = b
-    return env.sbd(a) & env.sint(a) == 0
+    return ctx.sbd_table[a] & ctx.sint_table[a] == 0
 
 
-def _t318_3(env, b):
+def _t318_3(ctx, opt, b):
     (a,) = b
-    return env.scl(a) == env.sint(a) | env.sbd(a)
+    return ctx.scl_table[a] == ctx.sint_table[a] | ctx.sbd_table[a]
 
 
-def _t318_4(env, b):
+def _t318_4(ctx, opt, b):
     (a,) = b
-    return env.sbd(env.sint(a)) & ~env.sbd(a) == 0
+    sbd = ctx.sbd_table
+    return sbd[ctx.sint_table[a]] & ~sbd[a] == 0
 
 
-def _t318_5(env, b):
+def _t318_5(ctx, opt, b):
     (a,) = b
-    return env.sbd(env.scl(a)) & ~env.sbd(a) == 0
+    sbd = ctx.sbd_table
+    return sbd[ctx.scl_table[a]] & ~sbd[a] == 0
 
 
-def _t318_6(env, b):
+def _t318_6(ctx, opt, b):
     (a,) = b
-    return env.full ^ env.sbd(a) == env.sint(a) | env.sint(env.full ^ a)
+    sint = ctx.sint_table
+    return ctx.full ^ ctx.sbd_table[a] == sint[a] | sint[ctx.full ^ a]
 
 
-def _t318_7(env, b):
+def _t318_7(ctx, opt, b):
     (a,) = b
-    return env.sint(a) | env.sint(env.full ^ a) | env.sbd(a) == env.full
+    sint = ctx.sint_table
+    return sint[a] | sint[ctx.full ^ a] | ctx.sbd_table[a] == ctx.full
 
 
-def _t319_1(env, b):
+def _t319_1(ctx, opt, b):
     (a,) = b
-    return (a in env.so_set) == (a & env.sbd(a) == 0)
+    return (a in ctx.so_set) == (a & ctx.sbd_table[a] == 0)
 
 
-def _t319_2(env, b):
+def _t319_2(ctx, opt, b):
     (a,) = b
-    return (a in env.sc_set) == (env.sbd(a) & ~a == 0)
+    return (a in ctx.sc_set) == (ctx.sbd_table[a] & ~a == 0)
 
 
-def _t320(env, b):
+def _t320(ctx, opt, b):
     (a,) = b
-    bd2 = env.sbd(env.sbd(a))
-    return env.sbd(bd2) == bd2
+    sbd = ctx.sbd_table
+    bd2 = sbd[sbd[a]]
+    return sbd[bd2] == bd2
 
 
-def _t324(env, b):
+def _t324(ctx, opt, b):
     a, c = b
-    return (a & c) in env.so_set
+    return (a & c) in ctx.so_set
 
 
-def _t326_1(env, b):
+def _t326_1(ctx, opt, b):
     (a,) = b
-    return env.si(env.si(a)) == env.si(a)
+    si = _si(ctx, opt)
+    return si[si[a]] == si[a]
 
 
-def _t326_2(env, b):
+def _t326_2(ctx, opt, b):
     a, c = b
-    return (env.si(a) | env.si(c)) & ~env.si(a | c) == 0
+    si = _si(ctx, opt)
+    return (si[a] | si[c]) & ~si[a | c] == 0
 
 
-def _t326_3(env, b):
+def _t326_3(ctx, opt, b):
     a, c = b
-    return env.si(a & c) == env.si(a) & env.si(c)
+    si = _si(ctx, opt)
+    return si[a & c] == si[a] & si[c]
 
 
-def _t327_1(env, b):
+# the semi-exterior sext*(A) is sint*(X - A)
+
+def _t327_1(ctx, opt, b):
     a, c = b
-    return env.sext(a | c) == env.sext(a) & env.sext(c)
+    full, sint = ctx.full, ctx.sint_table
+    return sint[full ^ (a | c)] == sint[full ^ a] & sint[full ^ c]
 
 
-def _t327_2(env, b):
+def _t327_2(ctx, opt, b):
     a, c = b
-    lhs = env.sbd(a | c)
-    rhs = (env.sbd(a) & env.scl(env.full ^ c)) | (env.sbd(c) & env.scl(env.full ^ a))
-    return lhs == rhs
+    full, scl, sbd = ctx.full, ctx.scl_table, ctx.sbd_table
+    return sbd[a | c] == (sbd[a] & scl[full ^ c]) | (sbd[c] & scl[full ^ a])
 
 
-def _t327_3(env, b):
+def _t327_3(ctx, opt, b):
     a, c = b
-    lhs = env.sbd(a & c)
-    rhs = (env.sbd(a) & env.scl(c)) | (env.sbd(c) & env.scl(a))
-    return lhs == rhs
+    scl, sbd = ctx.scl_table, ctx.sbd_table
+    return sbd[a & c] == (sbd[a] & scl[c]) | (sbd[c] & scl[a])
 
 
-def _p328_1(env, b):
+def _p328_1(ctx, opt, b):
     (a,) = b
-    return env.sext(env.full ^ env.sext(a)) == env.sext(a)
+    # sext*(X - E) is sint*(E)
+    ext = ctx.sint_table[ctx.full ^ a]
+    return ctx.sint_table[ext] == ext
 
 
-def _p328_2(env, b):
+def _p328_2(ctx, opt, b):
     a, c = b
-    return (env.sext(a) | env.sext(c)) & ~env.sext(a & c) == 0
+    full, sint = ctx.full, ctx.sint_table
+    return (sint[full ^ a] | sint[full ^ c]) & ~sint[full ^ (a & c)] == 0
 
 
-def _sandwich_closed(env: SpaceEnv, a: Mask) -> bool:
-    return any(
-        env.int_g(f) & ~a == 0 and a & ~f == 0 for f in env.gclosed
-    )
-
-
-def _p329(env, b):
+def _p329(ctx, opt, b):
     (a,) = b
-    return _sandwich_closed(env, a) == (a in env.sc_set)
+    return sandwich_closed(ctx, a) == (a in ctx.sc_set)
 
 
-def _t330(env, b):
+def _t330(ctx, opt, b):
     (a,) = b
-    return (env.int_g(env.cl_g(a)) & ~a == 0) == (a in env.sc_set)
+    return int_of_cl_closed(ctx, a) == (a in ctx.sc_set)
 
 
-def _l44(env, b):
+def _l44(ctx, opt, b):
     a, c = b
-    return a & ~env.cl_g(env.int_g(c)) == 0
+    return a & ~ctx.cl_table[ctx.int_table[c]] == 0
 
 
-def _l410(env, b):
+def _l410(ctx, opt, b):
     a, c = b
-    return env.sbd(a) & ~c == 0
+    return ctx.sbd_table[a] & ~c == 0
 
 
-def _p411(env, b):
+def _p411(ctx, opt, b):
     a, c = b
-    return a & env.cl_g(c) == 0
+    return a & ctx.cl_table[c] == 0
 
 
-def _l412(env, b):
+def _l412(ctx, opt, b):
     a, c = b
-    return a & env.bd_g(c) == 0
+    return a & ctx.bd_table[c] == 0
 
 
-# --- map predicates ---------------------------------------------------------
+# --- map predicates and equivalence sides: side(env) ----------------------------
+
+_continuity = attrgetter("semi_continuous")
+_semi_open_map = attrgetter("semi_open_map")
+
 
 def _pointwise_continuity(env: MapEnv) -> bool:
     # a semi-open A holding x has f(A) inside B exactly when A lies inside
@@ -474,17 +433,6 @@ def _pointwise_continuity(env: MapEnv) -> bool:
     # semi-interior
     sint, pre = env.X.sint_table, env.pre
     return all(sint[pre[b]] == pre[b] for b in env.Y.space.tau_gamma)
-
-
-def _t42(env, b):
-    return env.semi_continuous == _pointwise_continuity(env)
-
-
-def _t42_detail(env, b):
-    return {
-        "preimage_side": env.semi_continuous,
-        "pointwise_side": _pointwise_continuity(env),
-    }
 
 
 def _open_map_imageside(env: MapEnv) -> bool:
@@ -496,17 +444,6 @@ def _open_map_imageside(env: MapEnv) -> bool:
     return True
 
 
-def _t45(env, b):
-    return env.semi_open_map == _open_map_imageside(env)
-
-
-def _t45_detail(env, b):
-    return {
-        "image_side": env.semi_open_map,
-        "interior_closure_side": _open_map_imageside(env),
-    }
-
-
 def _open_map_preimageside(env: MapEnv) -> bool:
     pre, int_x, cl_x = env.pre, env.X.int_table, env.X.cl_table
     int_y = env.Y.int_table
@@ -516,94 +453,38 @@ def _open_map_preimageside(env: MapEnv) -> bool:
     return True
 
 
-def _t46(env, b):
-    return env.semi_open_map == _open_map_preimageside(env)
+def _scl_image_side(env: MapEnv) -> bool:
+    img, scl_x, cl_y = env.img, env.X.scl_table, env.Y.cl_table
+    return all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(env.X.full + 1))
 
 
-def _t46_detail(env, b):
-    return {
-        "image_side": env.semi_open_map,
-        "preimage_side": _open_map_preimageside(env),
-    }
+def _boundary_preimage_side(env: MapEnv) -> bool:
+    pre, sbd_x, bd_y = env.pre, env.X.sbd_table, env.Y.bd_table
+    return all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(env.Y.full + 1))
 
 
-def _t47(env, b):
-    (a,) = b
-    return env.img[a] in env.Y.so_set
-
-
-def _t48_sides(env: MapEnv) -> tuple:
-    img, pre = env.img, env.pre
-    e1 = env.semi_continuous
-    scl_x, cl_y = env.X.scl_table, env.Y.cl_table
-    e2 = all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(env.X.full + 1))
-    sbd_x, bd_y = env.X.sbd_table, env.Y.bd_table
-    e3 = all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(env.Y.full + 1))
-    return e1, e2, e3
-
-
-def _t48(env, b):
-    e1, e2, e3 = _t48_sides(env)
-    return e1 == e2 == e3
-
-
-def _t48_detail(env, b):
-    e1, e2, e3 = _t48_sides(env)
-    return {"continuity": e1, "closure_of_image": e2, "boundary_preimage": e3}
-
-
-def _t49_rhs(env: MapEnv) -> bool:
+def _t49_side(env: MapEnv) -> bool:
     scl_x, cl_x = env.X.scl_table, env.X.cl_table
     return all(scl_x[p] & ~cl_x[p] == 0 for p in env.pre)
 
 
-def _t49(env, b):
-    return env.semi_continuous == _t49_rhs(env)
-
-
-def _t49_detail(env, b):
-    return {"continuity": env.semi_continuous, "containment_side": _t49_rhs(env)}
-
-
-def _t49p_rhs(env: MapEnv) -> bool:
+def _t49p_side(env: MapEnv) -> bool:
     img, pre = env.img, env.pre
     scl_x, cl_y = env.X.scl_table, env.Y.cl_table
     return all(img[scl_x[pre[g]]] & ~cl_y[g] == 0 for g in range(env.Y.full + 1))
 
 
-def _t49p(env, b):
-    return env.semi_continuous == _t49p_rhs(env)
-
-
-def _t49p_detail(env, b):
-    return {"continuity": env.semi_continuous, "containment_side": _t49p_rhs(env)}
-
-
-def _t413_rhs(env: MapEnv) -> bool:
+def _t413_side(env: MapEnv) -> bool:
     pre, sbd_y, bd_x = env.pre, env.Y.sbd_table, env.X.bd_table
     return all(pre[sbd_y[c]] & ~bd_x[pre[c]] == 0 for c in range(env.Y.full + 1))
 
 
-def _t413(env, b):
-    return env.semi_open_map == _t413_rhs(env)
+def _t47(env, opt, b):
+    (a,) = b
+    return env.img[a] in env.Y.so_set
 
 
-def _t413_detail(env, b):
-    return {"image_side": env.semi_open_map, "boundary_side": _t413_rhs(env)}
-
-
-# --- worked-example (audit) predicates --------------------------------------
-
-# reported families on the three-point fixtures, as masks (a,b,c = bits 0,1,2)
-_REPORTED = {
-    "F1_tau": (0, 1, 5, 7),
-    "F1_so": (0, 1, 3, 5, 7),
-    "F2_tau": (0, 1, 2, 3, 7),
-    "F3_tau": (0, 2, 3, 5, 7),
-    "F4_semi_open": (0, 1, 3, 5, 7),
-    "F5_so": (0, 1, 3, 4, 6, 7),
-}
-
+# --- worked-example values: computed(ctx, opt) -------------------------------------
 
 def _reported_sweep(family: tuple, full: Mask) -> tuple:
     """Interval sweep taking `family` itself as the gamma-open sets and
@@ -614,39 +495,75 @@ def _reported_sweep(family: tuple, full: Mask) -> tuple:
     )
 
 
-def _fam_detail(env: SpaceEnv, computed, reported) -> dict:
-    return {
-        "computed": env.fmt_family(computed),
-        "reported": env.fmt_family(reported),
-    }
-
-
-def _make_e_claim(cid, fixture, statement, pred, detail=None, notes="", uses_sr=False):
-    # evaluation refuses any instance other than the fixture, so the
-    # predicate and the detail read the fixture's own space
-    return Claim(
-        id=cid,
-        kind="space",
-        statement=statement,
-        bindings=_unit,
-        holds=lambda env, b: pred(env),
-        fixture=fixture,
-        notes=notes,
-        uses_sr_variant=uses_sr,
-        detail=(lambda env, b: detail(env)) if detail else None,
-    )
-
-
 def _sr_flag(cls, opt: EvalOptions) -> bool:
     if opt.semi_regular_variant == "cap":
         return cls.semi_regular_cap
     return cls.semi_regular_cup
 
 
+def _semi_regular(ctx, opt):
+    return _sr_flag(ctx.space.classification, opt)
+
+
+def _tau(ctx, opt):
+    return ctx.space.tau_gamma
+
+
+def _so(ctx, opt):
+    return ctx.so_family
+
+
+def _classical_so(ctx, opt):
+    return ctx.space.topology.semi_opens
+
+
+# reported families on the three-point fixtures, as masks (a,b,c = bits 0,1,2)
+_F1_TAU = (0, 1, 5, 7)
+_F2_TAU = (0, 1, 2, 3, 7)
+
+# id, fixture, statement, computed(ctx, opt), reported[, notes]
+_EXAMPLES = (
+    ("E3.2a", "F1", "reported gamma-open family {{},{a},{a,c},X} matches the computed one",
+     _tau, _F1_TAU),
+    ("E3.2b", "F1", "reported semi-open family {{},{a},{a,b},{a,c},X} matches the computed one",
+     _so, (0, 1, 3, 5, 7)),
+    ("E3.2c", "F1", "interval sweep over the reported gamma-open family with lattice closure "
+     "reproduces the reported semi-open family",
+     lambda ctx, opt: _reported_sweep(_F1_TAU, 7), (0, 1, 3, 5, 7)),
+    ("E3.2d", "F1", "{a,b} is semi-open", lambda ctx, opt: 3 in ctx.so_set, True),
+    ("E3.2e", "F1", "{a,b} is not gamma-open",
+     lambda ctx, opt: 3 in ctx.space.tau_gamma_set, False),
+    ("E3.2f", "F1", "cl_g({a}) = X", lambda ctx, opt: ctx.cl_table[1], "{a,b,c}"),
+    ("E3.3a", "F2", "reported gamma-open family {{},{a},{b},{a,b},X} matches the computed one",
+     _tau, _F2_TAU),
+    ("E3.3b", "F2", "{b,c} is semi-open", lambda ctx, opt: 6 in ctx.so_set, True),
+    ("E3.3c", "F2", "{b,c} is not classically semi-open",
+     lambda ctx, opt: 6 in _classical_so(ctx, opt), False),
+    ("E3.3d", "F2", "interval sweep over the reported gamma-open family with lattice closure "
+     "makes {b,c} semi-open",
+     lambda ctx, opt: 6 in _reported_sweep(_F2_TAU, 7), True),
+    ("E3.4a", "F3", "reported gamma-open family {{},{b},{a,b},{a,c},X} matches the computed one",
+     _tau, (0, 2, 3, 5, 7)),
+    ("E3.4b", "F3", "{a} is classically semi-open",
+     lambda ctx, opt: 1 in _classical_so(ctx, opt), True),
+    ("E3.4c", "F3", "{a} is not semi-open", lambda ctx, opt: 1 in ctx.so_set, False),
+    ("E3.23a", "F4", "classical semi-open family is {{},{a},{a,b},{a,c},X}",
+     _classical_so, (0, 1, 3, 5, 7)),
+    ("E3.23b", "F4", "the closure operation is not semi-regular", _semi_regular, False,
+     "operation read as A -> cl(A)"),
+    ("E3.23c", "F4", "the closure operation is a semi-open operation",
+     lambda ctx, opt: ctx.space.classification.semi_open_op, True),
+    ("E3.25a", "F5", "reported semi-open family {{},{a},{c},{a,b},{b,c},X} matches the computed one",
+     _so, (0, 1, 3, 4, 6, 7)),
+    ("E3.25b", "F5", "{a,b} and {b,c} are semi-open but their intersection {b} is not",
+     lambda ctx, opt: 3 in ctx.so_set and 6 in ctx.so_set and 2 not in ctx.so_set, True),
+    ("E3.25c", "F5", "the interior-of-closure operation is not semi-regular", _semi_regular, False),
+)
+
+
 # --- registry ----------------------------------------------------------------
 
-def _space_claim(cid, statement, bindings, holds, hyps=(), slots=(), notes="",
-                 uses_interior=False):
+def _space_claim(cid, statement, bindings, holds, hyps=(), notes="", uses_interior=False):
     return Claim(
         id=cid,
         kind="space",
@@ -654,234 +571,154 @@ def _space_claim(cid, statement, bindings, holds, hyps=(), slots=(), notes="",
         bindings=bindings,
         holds=holds,
         hypotheses=tuple(hyps),
-        slots=tuple(slots),
+        slots=_SLOTS[bindings],
         notes=notes,
         uses_interior_reading=uses_interior,
         uses_sr_variant="semi-regular" in hyps,
     )
 
 
-def _map_claim(cid, statement, holds, hyps=(), bindings=_unit, slots=(),
-               detail=None, notes=""):
+def _equivalence(cid, statement, sides, hyps=(), notes=""):
+    """A map claim that whole-map properties agree: `holds` when every side
+    gives the first side's value; the witness detail is every side's value,
+    keyed by side name in declaration order."""
+    first, *rest = sides.values()
+
+    def holds(env, opt, b):
+        want = first(env)
+        for side in rest:
+            if side(env) != want:
+                return False
+        return True
+
+    def detail(env, opt, b):
+        return {name: side(env) for name, side in sides.items()}
+
     return Claim(
         id=cid,
         kind="map",
         statement=statement,
-        bindings=bindings,
+        bindings=_unit,
         holds=holds,
         hypotheses=tuple(hyps),
-        slots=tuple(slots),
-        detail=detail,
         notes=notes,
+        detail=detail,
     )
 
 
-_SET = "set"
-_SETX = "setX"
-_CLAUSE = "clause"
-_TAG = "tag"
+def _family_labels(ctx: SemistarContext, family) -> list:
+    return [list(ctx.universe.names_of(m)) for m in family]
+
+
+def _example(cid, fixture, statement, computed, reported, notes=""):
+    """A worked-example claim: `computed` on the fixture's context against the
+    reported value. The type of `reported` decides the witness detail: a
+    family (tuple of masks) shows both families, a set rendered as text
+    (str) shows both renderings, and a flag (bool) shows none. Evaluation
+    refuses any instance other than the fixture, so `computed` reads the
+    fixture's own context."""
+    value, detail = computed, None
+    if isinstance(reported, str):
+        def value(ctx, opt):
+            return ctx.universe.format_set(computed(ctx, opt))
+
+        def detail(ctx, opt, b):
+            return {"computed": value(ctx, opt), "reported": reported}
+    elif isinstance(reported, tuple):
+        def detail(ctx, opt, b):
+            return {
+                "computed": _family_labels(ctx, computed(ctx, opt)),
+                "reported": _family_labels(ctx, reported),
+            }
+    return Claim(
+        id=cid,
+        kind="space",
+        statement=statement,
+        bindings=_unit,
+        holds=lambda ctx, opt, b: value(ctx, opt) == reported,
+        fixture=fixture,
+        notes=notes,
+        # the one computed value that reads the semi-regular reading
+        uses_sr_variant=computed is _semi_regular,
+        detail=detail,
+    )
 
 
 def _build_registry() -> tuple:
+    semi_regular = ("semi-regular",)
     claims = [
-        _space_claim("T3.13", "scl*(A u B) = scl*(A) u scl*(B)",
-                     _pairs, _t313, hyps=("regular",), slots=(("A", _SET), ("B", _SET))),
-        _space_claim("T3.14", "duality: sint*(X-A) = X - scl*(A); scl*(X-A) = X - sint*(A); sint*(A) = X - scl*(X-A)",
-                     _mask_clauses, _t314, slots=(("A", _SET), ("clause", _CLAUSE))),
+        _space_claim("T3.13", "scl*(A u B) = scl*(A) u scl*(B)", _pairs, _t313, ("regular",)),
+        _space_claim("T3.14", "duality: sint*(X-A) = X - scl*(A); scl*(X-A) = X - sint*(A); "
+                     "sint*(A) = X - scl*(X-A)", _mask_clauses, _t314),
         _space_claim("T3.16", "the three boundary decompositions of A hold or fail together",
-                     _masks, _t316, slots=(("A", _SET),)),
-        _space_claim("P3.17a", "sbd*(A) = sbd*(X-A)",
-                     _masks, _p317a, slots=(("A", _SET),)),
-        _space_claim("P3.17b", "scl*(scl*(A)) = scl*(A)",
-                     _masks, _p317b, hyps=("open",), slots=(("A", _SET),)),
-        _space_claim("T3.18.1", "sbd*(A) = scl*(A) - sint*(A)",
-                     _masks, _t318_1, slots=(("A", _SET),)),
-        _space_claim("T3.18.2", "sbd*(A) n sint*(A) = {}",
-                     _masks, _t318_2, slots=(("A", _SET),)),
-        _space_claim("T3.18.3", "scl*(A) = sint*(A) u sbd*(A)",
-                     _masks, _t318_3, slots=(("A", _SET),)),
-        _space_claim("T3.18.4", "sbd*(sint*(A)) is inside sbd*(A)",
-                     _masks, _t318_4, slots=(("A", _SET),)),
-        _space_claim("T3.18.5", "sbd*(scl*(A)) is inside sbd*(A)",
-                     _masks, _t318_5, hyps=("open",), slots=(("A", _SET),)),
-        _space_claim("T3.18.6", "X - sbd*(A) = sint*(A) u sint*(X-A)",
-                     _masks, _t318_6, slots=(("A", _SET),)),
-        _space_claim("T3.18.7", "X = sint*(A) u sint*(X-A) u sbd*(A)",
-                     _masks, _t318_7, slots=(("A", _SET),)),
-        _space_claim("T3.19.1", "A semi-open iff A n sbd*(A) = {}",
-                     _masks, _t319_1, slots=(("A", _SET),)),
-        _space_claim("T3.19.2", "A semi-closed iff sbd*(A) inside A",
-                     _masks, _t319_2, slots=(("A", _SET),)),
-        _space_claim("T3.20", "sbd*^3(A) = sbd*^2(A) on semi-closed A",
-                     _sc_singles, _t320, hyps=("regular",), slots=(("A", _SET),),
-                     notes="audited under regular, open, and both hypotheses"),
-        _space_claim("T3.24", "A n B semi-open for semi-open A, B",
-                     _so_pairs, _t324, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET))),
-        _space_claim("T3.26.1", "sint*(sint*(A)) = sint*(A)",
-                     _masks, _t326_1, hyps=("semi-regular",), slots=(("A", _SET),),
+                     _masks, _t316),
+        _space_claim("P3.17a", "sbd*(A) = sbd*(X-A)", _masks, _p317a),
+        _space_claim("P3.17b", "scl*(scl*(A)) = scl*(A)", _masks, _p317b, ("open",)),
+        _space_claim("T3.18.1", "sbd*(A) = scl*(A) - sint*(A)", _masks, _t318_1),
+        _space_claim("T3.18.2", "sbd*(A) n sint*(A) = {}", _masks, _t318_2),
+        _space_claim("T3.18.3", "scl*(A) = sint*(A) u sbd*(A)", _masks, _t318_3),
+        _space_claim("T3.18.4", "sbd*(sint*(A)) is inside sbd*(A)", _masks, _t318_4),
+        _space_claim("T3.18.5", "sbd*(scl*(A)) is inside sbd*(A)", _masks, _t318_5, ("open",)),
+        _space_claim("T3.18.6", "X - sbd*(A) = sint*(A) u sint*(X-A)", _masks, _t318_6),
+        _space_claim("T3.18.7", "X = sint*(A) u sint*(X-A) u sbd*(A)", _masks, _t318_7),
+        _space_claim("T3.19.1", "A semi-open iff A n sbd*(A) = {}", _masks, _t319_1),
+        _space_claim("T3.19.2", "A semi-closed iff sbd*(A) inside A", _masks, _t319_2),
+        _space_claim("T3.20", "sbd*^3(A) = sbd*^2(A) on semi-closed A", _sc_singles, _t320,
+                     ("regular",), notes="audited under regular, open, and both hypotheses"),
+        _space_claim("T3.24", "A n B semi-open for semi-open A, B", _so_pairs, _t324, semi_regular),
+        _space_claim("T3.26.1", "sint*(sint*(A)) = sint*(A)", _masks, _t326_1, semi_regular,
                      uses_interior=True),
-        _space_claim("T3.26.2", "sint*(A u B) contains sint*(A) u sint*(B)",
-                     _pairs, _t326_2, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET)), uses_interior=True),
-        _space_claim("T3.26.3", "sint*(A n B) = sint*(A) n sint*(B)",
-                     _pairs, _t326_3, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET)), uses_interior=True),
-        _space_claim("T3.27.1", "sext*(A u B) = sext*(A) n sext*(B)",
-                     _pairs, _t327_1, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET))),
+        _space_claim("T3.26.2", "sint*(A u B) contains sint*(A) u sint*(B)", _pairs, _t326_2,
+                     semi_regular, uses_interior=True),
+        _space_claim("T3.26.3", "sint*(A n B) = sint*(A) n sint*(B)", _pairs, _t326_3,
+                     semi_regular, uses_interior=True),
+        _space_claim("T3.27.1", "sext*(A u B) = sext*(A) n sext*(B)", _pairs, _t327_1,
+                     semi_regular),
         _space_claim("T3.27.2", "sbd*(A u B) = (sbd*(A) n scl*(X-B)) u (sbd*(B) n scl*(X-A))",
-                     _pairs, _t327_2, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET))),
+                     _pairs, _t327_2, semi_regular),
         _space_claim("T3.27.3", "sbd*(A n B) = (sbd*(A) n scl*(B)) u (sbd*(B) n scl*(A))",
-                     _pairs, _t327_3, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET))),
-        _space_claim("P3.28.1", "sext*(X - sext*(A)) = sext*(A)",
-                     _masks, _p328_1, hyps=("semi-regular",), slots=(("A", _SET),)),
-        _space_claim("P3.28.2", "sext*(A n B) contains sext*(A) u sext*(B)",
-                     _pairs, _p328_2, hyps=("semi-regular",),
-                     slots=(("A", _SET), ("B", _SET))),
-        _space_claim("P3.29", "A semi-closed iff some gamma-closed F has int_g(F) inside A inside F",
-                     _masks, _p329, slots=(("A", _SET),)),
-        _space_claim("T3.30", "A semi-closed iff int_g(cl_g(A)) inside A",
-                     _masks, _t330, slots=(("A", _SET),)),
+                     _pairs, _t327_3, semi_regular),
+        _space_claim("P3.28.1", "sext*(X - sext*(A)) = sext*(A)", _masks, _p328_1, semi_regular),
+        _space_claim("P3.28.2", "sext*(A n B) contains sext*(A) u sext*(B)", _pairs, _p328_2,
+                     semi_regular),
+        _space_claim("P3.29", "A semi-closed iff some gamma-closed F has int_g(F) inside A "
+                     "inside F", _masks, _p329),
+        _space_claim("T3.30", "A semi-closed iff int_g(cl_g(A)) inside A", _masks, _t330),
         _space_claim("L4.4", "semi-open A inside B implies A inside cl_g(int_g(B))",
-                     _so_with_supersets, _l44, slots=(("A", _SET), ("B", _SET))),
+                     _so_with_supersets, _l44),
         _space_claim("L4.10", "A inside semi-closed B implies sbd*(A) inside B",
-                     _subset_of_sc, _l410, slots=(("A", _SET), ("B", _SET))),
+                     _subset_of_sc, _l410),
         _space_claim("P4.11", "gamma-open A disjoint from B implies A n cl_g(B) = {}",
-                     _tau_disjoint, _p411, slots=(("A", _SET), ("B", _SET))),
+                     _tau_disjoint, _p411),
         _space_claim("L4.12", "gamma-open A disjoint from B implies A n bd_g(B) = {}",
-                     _tau_disjoint, _l412, slots=(("A", _SET), ("B", _SET))),
-        _map_claim("T4.2", "preimage continuity iff pointwise continuity",
-                   _t42, hyps=("regular",), detail=_t42_detail),
-        _map_claim("T4.5", "f semi-open iff f(int_g(E)) inside cl_g(int_g(f(E))) for all E",
-                   _t45, detail=_t45_detail),
-        _map_claim("T4.6", "f semi-open iff int_g(f^-1(G)) inside cl_g(f^-1(int_g(G))) for all G",
-                   _t46, detail=_t46_detail),
-        _map_claim("T4.7", "images of semi-open sets are semi-open",
-                   _t47, hyps=("open", "semi-continuous", "semi-open-map"),
-                   bindings=_so_singles_x, slots=(("A", _SETX),)),
-        _map_claim("T4.8", "continuity, scl-image containment, and boundary-preimage containment are equivalent",
-                   _t48, detail=_t48_detail),
-        _map_claim("T4.9", "f continuous iff scl*(f^-1(G)) inside cl_g(f^-1(G)) for all G",
-                   _t49, detail=_t49_detail),
-        _map_claim("T4.9p", "f continuous iff f(scl*(f^-1(G))) inside cl_g(G) for all G",
-                   _t49p, detail=_t49p_detail,
-                   notes="companion inequality to T4.9; registered separately"),
-        _map_claim("T4.13", "bijective f semi-open iff f^-1(sbd*(B)) inside bd_g(f^-1(B)) for all B",
-                   _t413, hyps=("bijective",), detail=_t413_detail),
-        _map_claim("T4.14", "f semi-open iff f(int_g(A)) inside cl_g(int_g(f(A))) for all A",
-                   _t45, detail=_t45_detail,
-                   notes="same predicate as T4.5; registered under both ids"),
-        # worked-example audit entries
-        _make_e_claim(
-            "E3.2a", "F1",
-            "reported gamma-open family {{},{a},{a,c},X} matches the computed one",
-            lambda env: env.tau == _REPORTED["F1_tau"],
-            detail=lambda env: _fam_detail(env, env.tau, _REPORTED["F1_tau"]),
-        ),
-        _make_e_claim(
-            "E3.2b", "F1",
-            "reported semi-open family {{},{a},{a,b},{a,c},X} matches the computed one",
-            lambda env: env.so == _REPORTED["F1_so"],
-            detail=lambda env: _fam_detail(env, env.so, _REPORTED["F1_so"]),
-        ),
-        _make_e_claim(
-            "E3.2c", "F1",
-            "interval sweep over the reported gamma-open family with lattice closure reproduces the reported semi-open family",
-            lambda env: _reported_sweep(_REPORTED["F1_tau"], 7) == _REPORTED["F1_so"],
-            detail=lambda env: _fam_detail(env, _reported_sweep(_REPORTED["F1_tau"], 7), _REPORTED["F1_so"]),
-        ),
-        _make_e_claim(
-            "E3.2d", "F1",
-            "{a,b} is semi-open",
-            lambda env: 3 in env.so_set,
-        ),
-        _make_e_claim(
-            "E3.2e", "F1",
-            "{a,b} is not gamma-open",
-            lambda env: 3 not in env.tau_set,
-        ),
-        _make_e_claim(
-            "E3.2f", "F1",
-            "cl_g({a}) = X",
-            lambda env: env.cl_g(1) == 7,
-            detail=lambda env: {"computed": env.fmt(env.cl_g(1)), "reported": "{a,b,c}"},
-        ),
-        _make_e_claim(
-            "E3.3a", "F2",
-            "reported gamma-open family {{},{a},{b},{a,b},X} matches the computed one",
-            lambda env: env.tau == _REPORTED["F2_tau"],
-            detail=lambda env: _fam_detail(env, env.tau, _REPORTED["F2_tau"]),
-        ),
-        _make_e_claim(
-            "E3.3b", "F2",
-            "{b,c} is semi-open",
-            lambda env: 6 in env.so_set,
-        ),
-        _make_e_claim(
-            "E3.3c", "F2",
-            "{b,c} is not classically semi-open",
-            lambda env: 6 not in classical_semi_open_family(env.ctx.space.topology),
-        ),
-        _make_e_claim(
-            "E3.3d", "F2",
-            "interval sweep over the reported gamma-open family with lattice closure makes {b,c} semi-open",
-            lambda env: 6 in _reported_sweep(_REPORTED["F2_tau"], 7),
-        ),
-        _make_e_claim(
-            "E3.4a", "F3",
-            "reported gamma-open family {{},{b},{a,b},{a,c},X} matches the computed one",
-            lambda env: env.tau == _REPORTED["F3_tau"],
-            detail=lambda env: _fam_detail(env, env.tau, _REPORTED["F3_tau"]),
-        ),
-        _make_e_claim(
-            "E3.4b", "F3",
-            "{a} is classically semi-open",
-            lambda env: 1 in classical_semi_open_family(env.ctx.space.topology),
-        ),
-        _make_e_claim(
-            "E3.4c", "F3",
-            "{a} is not semi-open",
-            lambda env: 1 not in env.so_set,
-        ),
-        _make_e_claim(
-            "E3.23a", "F4",
-            "classical semi-open family is {{},{a},{a,b},{a,c},X}",
-            lambda env: classical_semi_open_family(env.ctx.space.topology) == _REPORTED["F4_semi_open"],
-            detail=lambda env: _fam_detail(env, classical_semi_open_family(env.ctx.space.topology), _REPORTED["F4_semi_open"]),
-        ),
-        _make_e_claim(
-            "E3.23b", "F4",
-            "the closure operation is not semi-regular",
-            lambda env: not _sr_flag(env.classification, env.opt),
-            uses_sr=True,
-            notes="operation read as A -> cl(A)",
-        ),
-        _make_e_claim(
-            "E3.23c", "F4",
-            "the closure operation is a semi-open operation",
-            lambda env: env.classification.semi_open_op,
-        ),
-        _make_e_claim(
-            "E3.25a", "F5",
-            "reported semi-open family {{},{a},{c},{a,b},{b,c},X} matches the computed one",
-            lambda env: env.so == _REPORTED["F5_so"],
-            detail=lambda env: _fam_detail(env, env.so, _REPORTED["F5_so"]),
-        ),
-        _make_e_claim(
-            "E3.25b", "F5",
-            "{a,b} and {b,c} are semi-open but their intersection {b} is not",
-            lambda env: 3 in env.so_set and 6 in env.so_set and 2 not in env.so_set,
-        ),
-        _make_e_claim(
-            "E3.25c", "F5",
-            "the interior-of-closure operation is not semi-regular",
-            lambda env: not _sr_flag(env.classification, env.opt),
-            uses_sr=True,
-        ),
+                     _tau_disjoint, _l412),
+        _equivalence("T4.2", "preimage continuity iff pointwise continuity",
+                     {"preimage_side": _continuity, "pointwise_side": _pointwise_continuity},
+                     hyps=("regular",)),
+        _equivalence("T4.5", "f semi-open iff f(int_g(E)) inside cl_g(int_g(f(E))) for all E",
+                     {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside}),
+        _equivalence("T4.6", "f semi-open iff int_g(f^-1(G)) inside cl_g(f^-1(int_g(G))) for all G",
+                     {"image_side": _semi_open_map, "preimage_side": _open_map_preimageside}),
+        Claim(id="T4.7", kind="map", statement="images of semi-open sets are semi-open",
+              bindings=_so_singles_x, holds=_t47,
+              hypotheses=("open", "semi-continuous", "semi-open-map"), slots=(("A", _SETX),)),
+        _equivalence("T4.8", "continuity, scl-image containment, and boundary-preimage "
+                     "containment are equivalent",
+                     {"continuity": _continuity, "closure_of_image": _scl_image_side,
+                      "boundary_preimage": _boundary_preimage_side}),
+        _equivalence("T4.9", "f continuous iff scl*(f^-1(G)) inside cl_g(f^-1(G)) for all G",
+                     {"continuity": _continuity, "containment_side": _t49_side}),
+        _equivalence("T4.9p", "f continuous iff f(scl*(f^-1(G))) inside cl_g(G) for all G",
+                     {"continuity": _continuity, "containment_side": _t49p_side},
+                     notes="companion inequality to T4.9; registered separately"),
+        _equivalence("T4.13", "bijective f semi-open iff f^-1(sbd*(B)) inside bd_g(f^-1(B)) "
+                     "for all B", {"image_side": _semi_open_map, "boundary_side": _t413_side},
+                     hyps=("bijective",)),
+        _equivalence("T4.14", "f semi-open iff f(int_g(A)) inside cl_g(int_g(f(A))) for all A",
+                     {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside},
+                     notes="same predicate as T4.5; registered under both ids"),
     ]
+    claims += [_example(*row) for row in _EXAMPLES]
     return tuple(claims)
 
 
@@ -932,9 +769,9 @@ def _claim_context(claim: Claim, instance, opt: EvalOptions) -> SemistarContext:
     return ctx
 
 
-def _hypothesis_met(name: str, env: Env) -> bool:
-    if env.kind == "space":
-        cls = env.classification
+def _hypothesis_met(name: str, subject, opt: EvalOptions) -> bool:
+    if isinstance(subject, SemistarContext):
+        cls = subject.space.classification
         if name == "regular":
             return cls.regular
         if name == "open":
@@ -942,22 +779,22 @@ def _hypothesis_met(name: str, env: Env) -> bool:
         if name == "monotone":
             return cls.monotone
         if name == "semi-regular":
-            return _sr_flag(cls, env.opt)
+            return _sr_flag(cls, opt)
         raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
     if name == "bijective":
-        return env.inst.map.bijective
+        return subject.inst.map.bijective
     if name == "semi-continuous":
-        return env.semi_continuous
+        return subject.semi_continuous
     if name == "semi-open-map":
-        return env.semi_open_map
+        return subject.semi_open_map
     # a flag is decided when first read, so each hypothesis decides only
     # the flags it names (T4.2's `regular` never classifies the codomain)
-    cls_x = env.X.space.classification
+    cls_x = subject.X.space.classification
     if name == "regular":
         return cls_x.regular
     if name == "semi-regular":
-        return _sr_flag(cls_x, env.opt)
-    cls_y = env.Y.space.classification
+        return _sr_flag(cls_x, opt)
+    cls_y = subject.Y.space.classification
     if name == "open":
         return cls_x.open_op and cls_y.open_op
     if name == "monotone":
@@ -981,8 +818,8 @@ def _gate(hypotheses: tuple, uses_interior: bool, opt: EvalOptions,
     return hyps, variant
 
 
-def _render_binding(claim: Claim, env: Env, binding: tuple) -> dict:
-    universe = env.universe if env.kind == "space" else env.X.universe
+def _render_binding(claim: Claim, subject, opt: EvalOptions, binding: tuple) -> dict:
+    universe = subject.universe if claim.kind == "space" else subject.X.universe
     slots = {}
     for (name, kind), value in zip(claim.slots, binding):
         slots[name] = universe.format_set(value) if kind in (_SET, _SETX) else value
@@ -990,12 +827,12 @@ def _render_binding(claim: Claim, env: Env, binding: tuple) -> dict:
     if slots:
         witness["slots"] = slots
     if claim.detail is not None:
-        witness["detail"] = claim.detail(env, binding)
+        witness["detail"] = claim.detail(subject, opt, binding)
     return witness
 
 
-def _run_env(claim: Claim, env: Env, opt: EvalOptions, label: str,
-             closure: str, extra_variant: Optional[dict] = None) -> Verdict:
+def _run(claim: Claim, subject, opt: EvalOptions, label: str,
+         closure: str, extra_variant: Optional[dict] = None) -> Verdict:
     """Gate, then sweep the bindings. A verdict labelled "" is one the
     caller will most likely discard, so its witness holds the binding only."""
     hyps, variant = _gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)
@@ -1003,13 +840,13 @@ def _run_env(claim: Claim, env: Env, opt: EvalOptions, label: str,
     if extra_variant:
         variant.update(extra_variant)
     for h in hyps:
-        if not _hypothesis_met(h, env):
+        if not _hypothesis_met(h, subject, opt):
             variant["unmet"] = h
             return Verdict(claim.id, label, VACUOUS, variant, None)
-    for binding in claim.bindings(env):
-        if not claim.holds(env, binding):
+    for binding in claim.bindings(subject):
+        if not claim.holds(subject, opt, binding):
             if label:
-                witness = _render_binding(claim, env, binding)
+                witness = _render_binding(claim, subject, opt, binding)
             else:
                 witness = {"binding": list(binding)}
             return Verdict(claim.id, label, REFUTED, variant, witness)
@@ -1051,8 +888,8 @@ def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
         label = f"{ctx_x.describe()} -> {ctx_y.describe()}"
     met = 0
     for pm in point_maps:
-        env = MapEnv(MapInstance(ctx_x, ctx_y, pm), opt)
-        verdict = _run_env(claim, env, opt, label, closure, {"maps": sweep_note})
+        env = MapEnv(MapInstance(ctx_x, ctx_y, pm))
+        verdict = _run(claim, env, opt, label, closure, {"maps": sweep_note})
         if verdict.status == VACUOUS:
             continue
         met += 1
@@ -1092,16 +929,14 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     opt = options or EvalOptions()
     if claim.kind == "space":
         ctx = _claim_context(claim, instance, opt)
-        env = SpaceEnv(ctx, opt)
         if label is None:
             label = ctx.describe()
-        return _run_env(claim, env, opt, label, ctx.closure_variant)
+        return _run(claim, ctx, opt, label, ctx.closure_variant)
     if isinstance(instance, MapInstance):
-        env = MapEnv(instance, opt)
         closure = _closure_label(instance.domain_ctx, instance.codomain_ctx)
         if label is None:
             label = instance.describe()
-        return _run_env(claim, env, opt, label, closure)
+        return _run(claim, MapEnv(instance), opt, label, closure)
     if isinstance(instance, tuple) and len(instance) == 2:
         return _evaluate_map_sweep(claim, instance, opt, label)
     raise ShapeMismatch(
@@ -1117,15 +952,15 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
     opt = options or EvalOptions()
     binding = tuple(witness.get("binding", ()))
     if claim.kind == "space":
-        env: Env = SpaceEnv(_claim_context(claim, instance, opt), opt)
+        subject = _claim_context(claim, instance, opt)
     elif isinstance(instance, MapInstance):
-        env = MapEnv(instance, opt)
+        subject = MapEnv(instance)
     else:
         ctx_x = _as_context(instance[0], opt)
         ctx_y = _as_context(instance[1], opt)
         pm = PointMap.from_labels(ctx_x.universe, ctx_y.universe, witness["assign"])
-        env = MapEnv(MapInstance(ctx_x, ctx_y, pm), opt)
-    return not claim.holds(env, binding)
+        subject = MapEnv(MapInstance(ctx_x, ctx_y, pm))
+    return not claim.holds(subject, opt, binding)
 
 
 # --- counterexample search ------------------------------------------------------
@@ -1258,8 +1093,9 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
             refutations += 1
             if first is None:
                 verdict.instance = instance.describe()
-                env = SpaceEnv(instance, opt) if claim.kind == "space" else MapEnv(instance, opt)
-                verdict.witness = _render_binding(claim, env, tuple(verdict.witness["binding"]))
+                subject = instance if claim.kind == "space" else MapEnv(instance)
+                binding = tuple(verdict.witness["binding"])
+                verdict.witness = _render_binding(claim, subject, opt, binding)
                 if claim.kind == "space":
                     first_instance = instance.space
                 else:

@@ -56,15 +56,6 @@ class SemistarContext:
         # entry X - A of a power-set table is its entry A read backwards
         return tuple(map(and_, self.cl_table, reversed(self.cl_table)))
 
-    def cl_g(self, mask: Mask) -> Mask:
-        return self.cl_table[mask]
-
-    def int_g(self, mask: Mask) -> Mask:
-        return self.int_table[mask]
-
-    def bd_g(self, mask: Mask) -> Mask:
-        return self.bd_table[mask]
-
     @property
     def gamma_closed_family(self) -> tuple[Mask, ...]:
         if self.closure_variant == "pointwise":
@@ -77,7 +68,7 @@ class SemistarContext:
         # one interval [O, cl(O)] per gamma-open O; the union of the
         # intervals is the whole family
         return interval_family(
-            (o, self.cl_g(o)) for o in self.space.tau_gamma
+            (o, self.cl_table[o]) for o in self.space.tau_gamma
         )
 
     @cached_property
@@ -185,18 +176,25 @@ def semi_regular_family(ctx: SemistarContext) -> tuple[Mask, ...]:
 def is_pre_open(ctx: SemistarContext, mask: Mask) -> bool:
     """Verbatim equality test: A equals int_g(cl_g(A))."""
     ctx.universe.check(mask)
-    return mask == ctx.int_g(ctx.cl_g(mask))
+    return mask == ctx.int_table[ctx.cl_table[mask]]
+
+
+def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
+    """Some gamma-closed F has int_g(F) inside `mask` inside F (unchecked)."""
+    int_g = ctx.int_table
+    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.gamma_closed_family)
+
+
+def int_of_cl_closed(ctx: SemistarContext, mask: Mask) -> bool:
+    """int_g(cl_g(`mask`)) stays inside `mask` (unchecked)."""
+    return ctx.int_table[ctx.cl_table[mask]] & ~mask == 0
 
 
 def gs_closed_characterizations(ctx: SemistarContext, mask: Mask) -> ClosedChecks:
     """Evaluate the three closedness readings on one subset."""
     ctx.universe.check(mask)
-    sandwich = any(
-        ctx.int_g(f) & ~mask == 0 and mask & ~f == 0
-        for f in ctx.gamma_closed_family
-    )
     return ClosedChecks(
-        sandwich=sandwich,
-        int_of_cl=ctx.int_g(ctx.cl_g(mask)) & ~mask == 0,
+        sandwich=sandwich_closed(ctx, mask),
+        int_of_cl=int_of_cl_closed(ctx, mask),
         member=mask in ctx.sc_set,
     )

@@ -2,7 +2,8 @@
 against a copy of the reading path they replaced: environments that call
 the context operators and `image`/`preimage` per mask, and the pointwise
 continuity test as the loop over points, gamma-open sets and semi-open sets
-that the semi-interior identity replaces."""
+that the semi-interior identity replaces. Each "iff" claim is compared side
+by side: its `holds` and its witness detail both follow from its sides."""
 import pytest
 
 from topogamma import evaluate_claim, image, preimage
@@ -102,16 +103,6 @@ def _open_map_preimageside(env):
     )
 
 
-def _t48_sides(env):
-    e2 = all(
-        env.img(env.X.scl(a)) & ~env.Y.cl_g(env.img(a)) == 0 for a in env.X.masks
-    )
-    e3 = all(
-        env.X.sbd(env.pre(b)) & ~env.pre(env.Y.bd_g(b)) == 0 for b in env.Y.masks
-    )
-    return env.semi_continuous, e2, e3
-
-
 def _t49_rhs(env):
     return all(
         env.X.scl(env.pre(g)) & ~env.X.cl_g(env.pre(g)) == 0 for g in env.Y.masks
@@ -130,71 +121,51 @@ def _t413_rhs(env):
     )
 
 
-def _unit(env):
-    return [()]
+def _continuity(env):
+    return env.semi_continuous
 
 
-def _t45_detail(env):
-    return {"image_side": env.semi_open_map,
-            "interior_closure_side": _open_map_imageside(env)}
+def _semi_open_map(env):
+    return env.semi_open_map
 
 
-# claim id -> (bindings, holds, detail or None); the detail and the
-# equivalence claims ignore their empty binding
-REFERENCE = {
-    "T4.2": (
-        _unit,
-        lambda env, b: env.semi_continuous == _pointwise_continuity(env),
-        lambda env: {"preimage_side": env.semi_continuous,
-                     "pointwise_side": _pointwise_continuity(env)},
-    ),
-    "T4.5": (
-        _unit,
-        lambda env, b: env.semi_open_map == _open_map_imageside(env),
-        _t45_detail,
-    ),
-    "T4.6": (
-        _unit,
-        lambda env, b: env.semi_open_map == _open_map_preimageside(env),
-        lambda env: {"image_side": env.semi_open_map,
-                     "preimage_side": _open_map_preimageside(env)},
-    ),
-    "T4.7": (
-        lambda env: [(a,) for a in env.X.so],
-        lambda env, b: env.img(b[0]) in env.Y.so_set,
-        None,
-    ),
-    "T4.8": (
-        _unit,
-        lambda env, b: len(set(_t48_sides(env))) == 1,
-        lambda env: dict(zip(("continuity", "closure_of_image", "boundary_preimage"),
-                             _t48_sides(env))),
-    ),
-    "T4.9": (
-        _unit,
-        lambda env, b: env.semi_continuous == _t49_rhs(env),
-        lambda env: {"continuity": env.semi_continuous, "containment_side": _t49_rhs(env)},
-    ),
-    "T4.9p": (
-        _unit,
-        lambda env, b: env.semi_continuous == _t49p_rhs(env),
-        lambda env: {"continuity": env.semi_continuous, "containment_side": _t49p_rhs(env)},
-    ),
-    "T4.13": (
-        _unit,
-        lambda env, b: env.semi_open_map == _t413_rhs(env),
-        lambda env: {"image_side": env.semi_open_map, "boundary_side": _t413_rhs(env)},
-    ),
-    "T4.14": (
-        _unit,
-        lambda env, b: env.semi_open_map == _open_map_imageside(env),
-        _t45_detail,
-    ),
+def _scl_image_side(env):
+    return all(
+        env.img(env.X.scl(a)) & ~env.Y.cl_g(env.img(a)) == 0 for a in env.X.masks
+    )
+
+
+def _boundary_preimage_side(env):
+    return all(
+        env.X.sbd(env.pre(b)) & ~env.pre(env.Y.bd_g(b)) == 0 for b in env.Y.masks
+    )
+
+
+# equivalence claim id -> its sides, by name in declaration order; the claim
+# holds when every side agrees, and its witness detail is the sides' values
+SIDES = {
+    "T4.2": {"preimage_side": _continuity, "pointwise_side": _pointwise_continuity},
+    "T4.5": {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside},
+    "T4.6": {"image_side": _semi_open_map, "preimage_side": _open_map_preimageside},
+    "T4.8": {"continuity": _continuity, "closure_of_image": _scl_image_side,
+             "boundary_preimage": _boundary_preimage_side},
+    "T4.9": {"continuity": _continuity, "containment_side": _t49_rhs},
+    "T4.9p": {"continuity": _continuity, "containment_side": _t49p_rhs},
+    "T4.13": {"image_side": _semi_open_map, "boundary_side": _t413_rhs},
+    "T4.14": {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside},
 }
 
 
+def _t47_bindings(env):
+    return [(a,) for a in env.X.so]
+
+
+def _t47_holds(env, b):
+    return env.img(b[0]) in env.Y.so_set
+
+
 def test_reference_covers_every_map_claim():
-    assert sorted(REFERENCE) == sorted(c.id for c in list_claims() if c.kind == "map")
+    assert sorted([*SIDES, "T4.7"]) == sorted(c.id for c in list_claims() if c.kind == "map")
 
 
 # every map instance of the two streams: all spaces on at most 2 points
@@ -204,22 +175,32 @@ def test_reference_covers_every_map_claim():
 def test_predicates_match_reference(max_n, budget, instances, closure):
     config = SearchConfig(max_n=max_n, op_budget=budget, closure_variant=closure)
     opt = config.options()
-    claims = [get_claim(cid) for cid in REFERENCE]
+    equivalences = [get_claim(cid) for cid in SIDES]
+    t47 = get_claim("T4.7")
     outcomes = set()
     visited = 0
     for inst in _map_instances(config, opt):
         visited += 1
-        env, ref = MapEnv(inst, opt), RefMapEnv(inst)
-        for claim in claims:
-            bindings, holds, detail = REFERENCE[claim.id]
-            expected = list(bindings(ref))
-            assert list(claim.bindings(env)) == expected, (claim.id, inst.describe())
-            for binding in expected:
-                got = claim.holds(env, binding)
-                assert got == holds(ref, binding), (claim.id, inst.describe(), binding)
-                outcomes.add((claim.id, got))
-            if detail is not None:
-                assert claim.detail(env, ()) == detail(ref), (claim.id, inst.describe())
+        env, ref = MapEnv(inst), RefMapEnv(inst)
+        label = inst.describe
+        # each reference side once per instance, shared by the claims naming it
+        values = {}
+        for claim in equivalences:
+            sides = {}
+            for name, side in SIDES[claim.id].items():
+                if side not in values:
+                    values[side] = side(ref)
+                sides[name] = values[side]
+            assert list(claim.bindings(env)) == [()], (claim.id, label())
+            got = claim.detail(env, opt, ())
+            assert list(got.items()) == list(sides.items()), (claim.id, label())
+            holds = claim.holds(env, opt, ())
+            assert holds == (len(set(sides.values())) == 1), (claim.id, label())
+            outcomes.add((claim.id, holds))
+        expected = _t47_bindings(ref)
+        assert list(t47.bindings(env)) == expected, label()
+        for binding in expected:
+            assert t47.holds(env, opt, binding) == _t47_holds(ref, binding), (label(), binding)
     assert visited == instances
     # both outcomes occur, so the comparison is not between two constant
     # answers
@@ -237,7 +218,8 @@ def test_unlabelled_refutation_carries_only_its_binding():
     assert verdict.witness == {"binding": []}
     labelled = evaluate_claim(claim, inst, opt)
     assert labelled.instance == inst.describe()
+    ref = RefMapEnv(inst)
     assert labelled.witness == {
         "binding": [],
-        "detail": REFERENCE["T4.9"][2](RefMapEnv(inst)),
+        "detail": {name: side(ref) for name, side in SIDES["T4.9"].items()},
     }
