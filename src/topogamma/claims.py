@@ -7,12 +7,13 @@ exhaustively on finite instances, searches enumerated instance streams for
 counterexamples when hypotheses are dropped, and replays the whole registry
 against the fixture catalog to produce a deterministic audit report.
 
-A claim is a declaration over tables that already exist. A space claim's
-predicate indexes its `SemistarContext` (`scl_table`, `sint_table`,
-`sbd_table`, `so_set`, ...); a map claim's indexes the two contexts and the
-point map's tables through a `MapEnv`. Every predicate is called as
-`holds(subject, opt, binding)`, so the evaluation options reach it
-explicitly. The map "iff" claims are declared as named sides that must
+A claim is a declaration over tables that already exist. A T/P/L space
+claim is a term such as `scl[A | B] == scl[A] | scl[B]` over the names of
+its `SemistarContext` tables, compiled on first use into one sweep that
+returns the first failing binding; a map claim's predicate indexes the two
+contexts and the point map's tables through a `MapEnv`. Every predicate is
+called as `holds(subject, opt, binding)`, so the evaluation options reach
+it explicitly. The map "iff" claims are declared as named sides that must
 agree, and the worked-example entries (ids starting with E) as rows of a
 table comparing a computed value with the one reported for a catalog
 fixture; where the oracle disagrees, the audit files the entry under
@@ -133,9 +134,13 @@ class Claim:
     slots: tuple = ()                           # (name, render-kind) pairs
     fixture: Optional[str] = None               # E-claims bind to one fixture
     notes: str = ""
-    uses_interior_reading: bool = False
     uses_sr_variant: bool = False
     detail: Optional[Callable[[object, EvalOptions, tuple], dict]] = None
+    term: Optional[_Term] = None                # a T/P/L space claim's statement
+
+    @property
+    def uses_interior_reading(self) -> bool:
+        return self.term is not None and "si" in self.term.reads
 
 
 @dataclass
@@ -220,205 +225,120 @@ _SETX = "setX"
 _A = (("A", _SET),)
 _AB = (("A", _SET), ("B", _SET))
 
-# the slots a space claim's bindings fill, by binding generator
-_SLOTS = {
-    _masks: _A,
-    _sc_singles: _A,
-    _mask_clauses: (("A", _SET), ("clause", "clause")),
-    _pairs: _AB,
-    _so_pairs: _AB,
-    _so_with_supersets: _AB,
-    _subset_of_sc: _AB,
-    _tau_disjoint: _AB,
+# per binding generator: the slots its bindings fill, and the vocabulary
+# names (below) it reads
+_BINDINGS = {
+    _masks: (_A, ("full",)),
+    _sc_singles: (_A, ("sc",)),
+    _mask_clauses: ((("A", _SET), ("clause", "clause")), ("full",)),
+    _pairs: (_AB, ("full",)),
+    _so_pairs: (_AB, ("so",)),
+    _so_with_supersets: (_AB, ("so", "full")),
+    _subset_of_sc: (_AB, ("full", "sc")),
+    _tau_disjoint: (_AB, ("tau", "full")),
 }
 
 
-# --- space predicates: holds(ctx, opt, binding) ------------------------------
+# --- space claims as terms ------------------------------------------------------
 
-def _si(ctx: SemistarContext, opt: EvalOptions) -> tuple:
+# What a name can depend on. A family-only name is a function of the
+# semi-open family alone (which holds X, so it fixes the universe too);
+# a space name of the topology and the operation; a context name of those
+# and the closure variant.
+_FAMILY = "semi-open family"
+_SPACE = "space"
+_CONTEXT = "context"
+
+# The names a term may read: what a sweep binds each to (None: a function
+# of the sweep's namespace, or the context itself), and what it depends on,
+# per interior reading where the reading matters.
+_VOCABULARY = {
+    "full": ("ctx.full", _FAMILY),
+    "so": ("ctx.so_set", _FAMILY),
+    "sc": ("ctx.sc_set", _FAMILY),
+    "scl": ("ctx.scl_table", _FAMILY),
+    "sint": ("ctx.sint_table", _FAMILY),
+    "sbd": ("ctx.sbd_table", _FAMILY),
     # the semi-interior of the interior reading the T3.26 claims run under
-    if opt.interior_reading == "lattice":
-        return ctx.sint_table
-    return ctx.sint_pointwise_table
+    "si": ("ctx.sint_table if opt.interior_reading == 'lattice' else ctx.sint_pointwise_table",
+           {"lattice": _FAMILY, "pointwise": _SPACE}),
+    "tau": ("ctx.space.tau_gamma", _SPACE),
+    "cl": ("ctx.cl_table", _CONTEXT),
+    "int": ("ctx.int_table", _CONTEXT),
+    "bd": ("ctx.bd_table", _CONTEXT),
+    "sandwich_closed": (None, _CONTEXT),
+    "int_of_cl_closed": (None, _CONTEXT),
+    "ctx": (None, _CONTEXT),
+}
 
 
-def _t313(ctx, opt, b):
-    a, c = b
-    scl = ctx.scl_table
-    return scl[a | c] == scl[a] | scl[c]
+def _dependency(name: str, reading: str) -> str:
+    dep = _VOCABULARY[name][1]
+    return dep[reading] if isinstance(dep, dict) else dep
 
 
-def _t314(ctx, opt, b):
-    a, clause = b
-    full, scl, sint = ctx.full, ctx.scl_table, ctx.sint_table
-    if clause == 1:
-        return sint[full ^ a] == full ^ scl[a]
-    if clause == 2:
-        return scl[full ^ a] == full ^ sint[a]
-    return sint[a] == full ^ scl[full ^ a]
+class _Term:
+    """A space claim's statement: one expression over its slot names and the
+    vocabulary, compiled on first use into `holds(ctx, opt, binding)` and
+    `sweep(ctx, opt, bindings)`, the first binding the expression fails on
+    (or None)."""
 
+    def __init__(self, cid: str, text: str, bindings):
+        slots, self.binding_reads = _BINDINGS[bindings]
+        self.cid, self.text = cid, text
+        self.slots = tuple(name for name, _ in slots)
+        # first failure by semi-open family, for the readings under which
+        # the term and its bindings read nothing else; kept as long as the
+        # claim (README, "Claims registry", gives its size)
+        self.memo: dict = {}
 
-def _t316(ctx, opt, b):
-    (a,) = b
-    fa = ctx.full ^ a
-    scl, sint, sbd = ctx.scl_table, ctx.sint_table, ctx.sbd_table
-    c1 = (ctx.full ^ sbd[a]) == sint[a] | sint[fa]
-    c2 = scl[a] == sint[a] | sbd[a]
-    c3 = sbd[a] == scl[a] & scl[fa] and sbd[a] == scl[a] & ~sint[a]
-    return c1 == c2 == c3
+    def __getattr__(self, name: str):
+        # `reads`, `family_only`, `holds` and `sweep` are set by the compile
+        if name not in ("reads", "family_only", "holds", "sweep"):
+            raise AttributeError(name)
+        self._compile()
+        return vars(self)[name]
 
+    def __call__(self, ctx, opt, binding) -> bool:
+        return self.holds(ctx, opt, binding)
 
-def _p317a(ctx, opt, b):
-    (a,) = b
-    return ctx.sbd_table[a] == ctx.sbd_table[ctx.full ^ a]
+    def _compile(self) -> None:
+        names = compile(self.text, self.cid, "eval").co_names
+        reads = frozenset(names) - set(self.slots)
+        unknown = [name for name in sorted(reads) if name not in _VOCABULARY]
+        if unknown:
+            raise ValueError(f"claim {self.cid}: the term reads undeclared names {unknown}")
+        binds = "".join(
+            f"    {name} = {_VOCABULARY[name][0]}\n"
+            for name in sorted(reads) if _VOCABULARY[name][0] is not None
+        )
+        target = ", ".join(self.slots) + ("," if len(self.slots) == 1 else "")
+        source = (
+            f"def holds(ctx, opt, b):\n{binds}    {target} = b\n    return {self.text}\n"
+            f"def sweep(ctx, opt, bindings):\n{binds}    for {target} in bindings:\n"
+            f"        if not ({self.text}):\n            return ({target})\n    return None\n"
+        )
+        namespace = {"sandwich_closed": sandwich_closed, "int_of_cl_closed": int_of_cl_closed}
+        exec(compile(source, f"<claim {self.cid}>", "exec"), namespace)
+        self.reads = reads
+        self.family_only = {
+            reading: all(_dependency(name, reading) == _FAMILY
+                         for name in reads | set(self.binding_reads))
+            for reading in INTERIOR_READINGS
+        }
+        self.holds, self.sweep = namespace["holds"], namespace["sweep"]
 
-
-def _p317b(ctx, opt, b):
-    (a,) = b
-    scl = ctx.scl_table
-    return scl[scl[a]] == scl[a]
-
-
-def _t318_1(ctx, opt, b):
-    (a,) = b
-    return ctx.sbd_table[a] == ctx.scl_table[a] & ~ctx.sint_table[a]
-
-
-def _t318_2(ctx, opt, b):
-    (a,) = b
-    return ctx.sbd_table[a] & ctx.sint_table[a] == 0
-
-
-def _t318_3(ctx, opt, b):
-    (a,) = b
-    return ctx.scl_table[a] == ctx.sint_table[a] | ctx.sbd_table[a]
-
-
-def _t318_4(ctx, opt, b):
-    (a,) = b
-    sbd = ctx.sbd_table
-    return sbd[ctx.sint_table[a]] & ~sbd[a] == 0
-
-
-def _t318_5(ctx, opt, b):
-    (a,) = b
-    sbd = ctx.sbd_table
-    return sbd[ctx.scl_table[a]] & ~sbd[a] == 0
-
-
-def _t318_6(ctx, opt, b):
-    (a,) = b
-    sint = ctx.sint_table
-    return ctx.full ^ ctx.sbd_table[a] == sint[a] | sint[ctx.full ^ a]
-
-
-def _t318_7(ctx, opt, b):
-    (a,) = b
-    sint = ctx.sint_table
-    return sint[a] | sint[ctx.full ^ a] | ctx.sbd_table[a] == ctx.full
-
-
-def _t319_1(ctx, opt, b):
-    (a,) = b
-    return (a in ctx.so_set) == (a & ctx.sbd_table[a] == 0)
-
-
-def _t319_2(ctx, opt, b):
-    (a,) = b
-    return (a in ctx.sc_set) == (ctx.sbd_table[a] & ~a == 0)
-
-
-def _t320(ctx, opt, b):
-    (a,) = b
-    sbd = ctx.sbd_table
-    bd2 = sbd[sbd[a]]
-    return sbd[bd2] == bd2
-
-
-def _t324(ctx, opt, b):
-    a, c = b
-    return (a & c) in ctx.so_set
-
-
-def _t326_1(ctx, opt, b):
-    (a,) = b
-    si = _si(ctx, opt)
-    return si[si[a]] == si[a]
-
-
-def _t326_2(ctx, opt, b):
-    a, c = b
-    si = _si(ctx, opt)
-    return (si[a] | si[c]) & ~si[a | c] == 0
-
-
-def _t326_3(ctx, opt, b):
-    a, c = b
-    si = _si(ctx, opt)
-    return si[a & c] == si[a] & si[c]
-
-
-# the semi-exterior sext*(A) is sint*(X - A)
-
-def _t327_1(ctx, opt, b):
-    a, c = b
-    full, sint = ctx.full, ctx.sint_table
-    return sint[full ^ (a | c)] == sint[full ^ a] & sint[full ^ c]
-
-
-def _t327_2(ctx, opt, b):
-    a, c = b
-    full, scl, sbd = ctx.full, ctx.scl_table, ctx.sbd_table
-    return sbd[a | c] == (sbd[a] & scl[full ^ c]) | (sbd[c] & scl[full ^ a])
-
-
-def _t327_3(ctx, opt, b):
-    a, c = b
-    scl, sbd = ctx.scl_table, ctx.sbd_table
-    return sbd[a & c] == (sbd[a] & scl[c]) | (sbd[c] & scl[a])
-
-
-def _p328_1(ctx, opt, b):
-    (a,) = b
-    # sext*(X - E) is sint*(E)
-    ext = ctx.sint_table[ctx.full ^ a]
-    return ctx.sint_table[ext] == ext
-
-
-def _p328_2(ctx, opt, b):
-    a, c = b
-    full, sint = ctx.full, ctx.sint_table
-    return (sint[full ^ a] | sint[full ^ c]) & ~sint[full ^ (a & c)] == 0
-
-
-def _p329(ctx, opt, b):
-    (a,) = b
-    return sandwich_closed(ctx, a) == (a in ctx.sc_set)
-
-
-def _t330(ctx, opt, b):
-    (a,) = b
-    return int_of_cl_closed(ctx, a) == (a in ctx.sc_set)
-
-
-def _l44(ctx, opt, b):
-    a, c = b
-    return a & ~ctx.cl_table[ctx.int_table[c]] == 0
-
-
-def _l410(ctx, opt, b):
-    a, c = b
-    return ctx.sbd_table[a] & ~c == 0
-
-
-def _p411(ctx, opt, b):
-    a, c = b
-    return a & ctx.cl_table[c] == 0
-
-
-def _l412(ctx, opt, b):
-    a, c = b
-    return a & ctx.bd_table[c] == 0
+    def first_failure(self, ctx: SemistarContext, opt: EvalOptions, bindings) -> Optional[tuple]:
+        """`sweep` over `bindings`; where the term and its bindings read only
+        the semi-open family, the answer is looked up by the family and
+        swept only on a miss. The answer is then a function of the family,
+        so concurrent fills of one key store the same value."""
+        if not self.family_only[opt.interior_reading]:
+            return self.sweep(ctx, opt, bindings)
+        key = ctx.so_family
+        if key not in self.memo:
+            self.memo[key] = self.sweep(ctx, opt, bindings)
+        return self.memo[key]
 
 
 # --- map predicates and equivalence sides: side(env) ----------------------------
@@ -561,20 +481,88 @@ _EXAMPLES = (
 )
 
 
+# --- the space laws: id, statement, bindings, term, hypotheses[, notes] ---------
+#
+# A term is one expression over the binding's slots (A, B, clause) and the
+# vocabulary; sext*(A) is sint*(X - A), and `si` is the semi-interior of
+# the interior reading.
+
+_SR = ("semi-regular",)
+
+_LAWS = (
+    ("T3.13", "scl*(A u B) = scl*(A) u scl*(B)", _pairs,
+     "scl[A | B] == scl[A] | scl[B]", ("regular",)),
+    ("T3.14", "duality: sint*(X-A) = X - scl*(A); scl*(X-A) = X - sint*(A); "
+     "sint*(A) = X - scl*(X-A)", _mask_clauses,
+     "(sint[full ^ A] == full ^ scl[A]) if clause == 1 else "
+     "(scl[full ^ A] == full ^ sint[A]) if clause == 2 else "
+     "(sint[A] == full ^ scl[full ^ A])"),
+    ("T3.16", "the three boundary decompositions of A hold or fail together", _masks,
+     "((full ^ sbd[A]) == sint[A] | sint[full ^ A]) == (scl[A] == sint[A] | sbd[A]) == "
+     "(sbd[A] == scl[A] & scl[full ^ A] and sbd[A] == scl[A] & ~sint[A])"),
+    ("P3.17a", "sbd*(A) = sbd*(X-A)", _masks, "sbd[A] == sbd[full ^ A]"),
+    ("P3.17b", "scl*(scl*(A)) = scl*(A)", _masks, "scl[scl[A]] == scl[A]", ("open",)),
+    ("T3.18.1", "sbd*(A) = scl*(A) - sint*(A)", _masks, "sbd[A] == scl[A] & ~sint[A]"),
+    ("T3.18.2", "sbd*(A) n sint*(A) = {}", _masks, "sbd[A] & sint[A] == 0"),
+    ("T3.18.3", "scl*(A) = sint*(A) u sbd*(A)", _masks, "scl[A] == sint[A] | sbd[A]"),
+    ("T3.18.4", "sbd*(sint*(A)) is inside sbd*(A)", _masks, "sbd[sint[A]] & ~sbd[A] == 0"),
+    ("T3.18.5", "sbd*(scl*(A)) is inside sbd*(A)", _masks, "sbd[scl[A]] & ~sbd[A] == 0",
+     ("open",)),
+    ("T3.18.6", "X - sbd*(A) = sint*(A) u sint*(X-A)", _masks,
+     "full ^ sbd[A] == sint[A] | sint[full ^ A]"),
+    ("T3.18.7", "X = sint*(A) u sint*(X-A) u sbd*(A)", _masks,
+     "sint[A] | sint[full ^ A] | sbd[A] == full"),
+    ("T3.19.1", "A semi-open iff A n sbd*(A) = {}", _masks, "(A in so) == (A & sbd[A] == 0)"),
+    ("T3.19.2", "A semi-closed iff sbd*(A) inside A", _masks, "(A in sc) == (sbd[A] & ~A == 0)"),
+    ("T3.20", "sbd*^3(A) = sbd*^2(A) on semi-closed A", _sc_singles,
+     "sbd[sbd[sbd[A]]] == sbd[sbd[A]]", ("regular",),
+     "audited under regular, open, and both hypotheses"),
+    ("T3.24", "A n B semi-open for semi-open A, B", _so_pairs, "(A & B) in so", _SR),
+    ("T3.26.1", "sint*(sint*(A)) = sint*(A)", _masks, "si[si[A]] == si[A]", _SR),
+    ("T3.26.2", "sint*(A u B) contains sint*(A) u sint*(B)", _pairs,
+     "(si[A] | si[B]) & ~si[A | B] == 0", _SR),
+    ("T3.26.3", "sint*(A n B) = sint*(A) n sint*(B)", _pairs,
+     "si[A & B] == si[A] & si[B]", _SR),
+    ("T3.27.1", "sext*(A u B) = sext*(A) n sext*(B)", _pairs,
+     "sint[full ^ (A | B)] == sint[full ^ A] & sint[full ^ B]", _SR),
+    ("T3.27.2", "sbd*(A u B) = (sbd*(A) n scl*(X-B)) u (sbd*(B) n scl*(X-A))", _pairs,
+     "sbd[A | B] == (sbd[A] & scl[full ^ B]) | (sbd[B] & scl[full ^ A])", _SR),
+    ("T3.27.3", "sbd*(A n B) = (sbd*(A) n scl*(B)) u (sbd*(B) n scl*(A))", _pairs,
+     "sbd[A & B] == (sbd[A] & scl[B]) | (sbd[B] & scl[A])", _SR),
+    ("P3.28.1", "sext*(X - sext*(A)) = sext*(A)", _masks,
+     "sint[sint[full ^ A]] == sint[full ^ A]", _SR),
+    ("P3.28.2", "sext*(A n B) contains sext*(A) u sext*(B)", _pairs,
+     "(sint[full ^ A] | sint[full ^ B]) & ~sint[full ^ (A & B)] == 0", _SR),
+    ("P3.29", "A semi-closed iff some gamma-closed F has int_g(F) inside A inside F", _masks,
+     "sandwich_closed(ctx, A) == (A in sc)"),
+    ("T3.30", "A semi-closed iff int_g(cl_g(A)) inside A", _masks,
+     "int_of_cl_closed(ctx, A) == (A in sc)"),
+    ("L4.4", "semi-open A inside B implies A inside cl_g(int_g(B))", _so_with_supersets,
+     "A & ~cl[int[B]] == 0"),
+    ("L4.10", "A inside semi-closed B implies sbd*(A) inside B", _subset_of_sc,
+     "sbd[A] & ~B == 0"),
+    ("P4.11", "gamma-open A disjoint from B implies A n cl_g(B) = {}", _tau_disjoint,
+     "A & cl[B] == 0"),
+    ("L4.12", "gamma-open A disjoint from B implies A n bd_g(B) = {}", _tau_disjoint,
+     "A & bd[B] == 0"),
+)
+
+
 # --- registry ----------------------------------------------------------------
 
-def _space_claim(cid, statement, bindings, holds, hyps=(), notes="", uses_interior=False):
+def _space_claim(cid, statement, bindings, term, hyps=(), notes=""):
+    term = _Term(cid, term, bindings)
     return Claim(
         id=cid,
         kind="space",
         statement=statement,
         bindings=bindings,
-        holds=holds,
+        holds=term,
         hypotheses=tuple(hyps),
-        slots=_SLOTS[bindings],
+        slots=_BINDINGS[bindings][0],
         notes=notes,
-        uses_interior_reading=uses_interior,
         uses_sr_variant="semi-regular" in hyps,
+        term=term,
     )
 
 
@@ -645,53 +633,8 @@ def _example(cid, fixture, statement, computed, reported, notes=""):
 
 
 def _build_registry() -> tuple:
-    semi_regular = ("semi-regular",)
-    claims = [
-        _space_claim("T3.13", "scl*(A u B) = scl*(A) u scl*(B)", _pairs, _t313, ("regular",)),
-        _space_claim("T3.14", "duality: sint*(X-A) = X - scl*(A); scl*(X-A) = X - sint*(A); "
-                     "sint*(A) = X - scl*(X-A)", _mask_clauses, _t314),
-        _space_claim("T3.16", "the three boundary decompositions of A hold or fail together",
-                     _masks, _t316),
-        _space_claim("P3.17a", "sbd*(A) = sbd*(X-A)", _masks, _p317a),
-        _space_claim("P3.17b", "scl*(scl*(A)) = scl*(A)", _masks, _p317b, ("open",)),
-        _space_claim("T3.18.1", "sbd*(A) = scl*(A) - sint*(A)", _masks, _t318_1),
-        _space_claim("T3.18.2", "sbd*(A) n sint*(A) = {}", _masks, _t318_2),
-        _space_claim("T3.18.3", "scl*(A) = sint*(A) u sbd*(A)", _masks, _t318_3),
-        _space_claim("T3.18.4", "sbd*(sint*(A)) is inside sbd*(A)", _masks, _t318_4),
-        _space_claim("T3.18.5", "sbd*(scl*(A)) is inside sbd*(A)", _masks, _t318_5, ("open",)),
-        _space_claim("T3.18.6", "X - sbd*(A) = sint*(A) u sint*(X-A)", _masks, _t318_6),
-        _space_claim("T3.18.7", "X = sint*(A) u sint*(X-A) u sbd*(A)", _masks, _t318_7),
-        _space_claim("T3.19.1", "A semi-open iff A n sbd*(A) = {}", _masks, _t319_1),
-        _space_claim("T3.19.2", "A semi-closed iff sbd*(A) inside A", _masks, _t319_2),
-        _space_claim("T3.20", "sbd*^3(A) = sbd*^2(A) on semi-closed A", _sc_singles, _t320,
-                     ("regular",), notes="audited under regular, open, and both hypotheses"),
-        _space_claim("T3.24", "A n B semi-open for semi-open A, B", _so_pairs, _t324, semi_regular),
-        _space_claim("T3.26.1", "sint*(sint*(A)) = sint*(A)", _masks, _t326_1, semi_regular,
-                     uses_interior=True),
-        _space_claim("T3.26.2", "sint*(A u B) contains sint*(A) u sint*(B)", _pairs, _t326_2,
-                     semi_regular, uses_interior=True),
-        _space_claim("T3.26.3", "sint*(A n B) = sint*(A) n sint*(B)", _pairs, _t326_3,
-                     semi_regular, uses_interior=True),
-        _space_claim("T3.27.1", "sext*(A u B) = sext*(A) n sext*(B)", _pairs, _t327_1,
-                     semi_regular),
-        _space_claim("T3.27.2", "sbd*(A u B) = (sbd*(A) n scl*(X-B)) u (sbd*(B) n scl*(X-A))",
-                     _pairs, _t327_2, semi_regular),
-        _space_claim("T3.27.3", "sbd*(A n B) = (sbd*(A) n scl*(B)) u (sbd*(B) n scl*(A))",
-                     _pairs, _t327_3, semi_regular),
-        _space_claim("P3.28.1", "sext*(X - sext*(A)) = sext*(A)", _masks, _p328_1, semi_regular),
-        _space_claim("P3.28.2", "sext*(A n B) contains sext*(A) u sext*(B)", _pairs, _p328_2,
-                     semi_regular),
-        _space_claim("P3.29", "A semi-closed iff some gamma-closed F has int_g(F) inside A "
-                     "inside F", _masks, _p329),
-        _space_claim("T3.30", "A semi-closed iff int_g(cl_g(A)) inside A", _masks, _t330),
-        _space_claim("L4.4", "semi-open A inside B implies A inside cl_g(int_g(B))",
-                     _so_with_supersets, _l44),
-        _space_claim("L4.10", "A inside semi-closed B implies sbd*(A) inside B",
-                     _subset_of_sc, _l410),
-        _space_claim("P4.11", "gamma-open A disjoint from B implies A n cl_g(B) = {}",
-                     _tau_disjoint, _p411),
-        _space_claim("L4.12", "gamma-open A disjoint from B implies A n bd_g(B) = {}",
-                     _tau_disjoint, _l412),
+    claims = [_space_claim(*row) for row in _LAWS]
+    claims += [
         _equivalence("T4.2", "preimage continuity iff pointwise continuity",
                      {"preimage_side": _continuity, "pointwise_side": _pointwise_continuity},
                      hyps=("regular",)),
@@ -833,8 +776,9 @@ def _render_binding(claim: Claim, subject, opt: EvalOptions, binding: tuple) -> 
 
 def _run(claim: Claim, subject, opt: EvalOptions, label: str,
          closure: str, extra_variant: Optional[dict] = None) -> Verdict:
-    """Gate, then sweep the bindings. A verdict labelled "" is one the
-    caller will most likely discard, so its witness holds the binding only."""
+    """Gate, then sweep the bindings for the first one the claim fails on.
+    A verdict labelled "" is one the caller will most likely discard, so
+    its witness holds the binding only."""
     hyps, variant = _gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)
     variant = dict(variant)
     if extra_variant:
@@ -843,14 +787,24 @@ def _run(claim: Claim, subject, opt: EvalOptions, label: str,
         if not _hypothesis_met(h, subject, opt):
             variant["unmet"] = h
             return Verdict(claim.id, label, VACUOUS, variant, None)
-    for binding in claim.bindings(subject):
-        if not claim.holds(subject, opt, binding):
-            if label:
-                witness = _render_binding(claim, subject, opt, binding)
-            else:
-                witness = {"binding": list(binding)}
-            return Verdict(claim.id, label, REFUTED, variant, witness)
-    return Verdict(claim.id, label, CONFIRMED, variant, None)
+    # the bindings are read off the claim here, so a caller that re-binds
+    # `claim.bindings` sees every binding a sweep takes
+    bindings = claim.bindings(subject)
+    if claim.term is not None:
+        binding = claim.term.first_failure(subject, opt, bindings)
+    else:
+        for binding in bindings:
+            if not claim.holds(subject, opt, binding):
+                break
+        else:
+            binding = None
+    if binding is None:
+        return Verdict(claim.id, label, CONFIRMED, variant, None)
+    if label:
+        witness = _render_binding(claim, subject, opt, binding)
+    else:
+        witness = {"binding": list(binding)}
+    return Verdict(claim.id, label, REFUTED, variant, witness)
 
 
 def _assignment_indices(total: int, opt: EvalOptions) -> list:

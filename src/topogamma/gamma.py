@@ -36,14 +36,8 @@ class GammaSpace:
             raise ValueError("operation must be expansive on the open sets")
         self.topology = topology
         self.gamma = gamma
-
-    @property
-    def universe(self):
-        return self.topology.universe
-
-    @property
-    def full(self) -> Mask:
-        return self.topology.full
+        self.universe = topology.universe
+        self.full: Mask = topology.full
 
     def describe(self) -> str:
         opens = ",".join(self.universe.format_set(o) for o in self.topology.opens)

@@ -26,14 +26,8 @@ class SemistarContext:
             )
         self.space = space
         self.closure_variant = closure_variant
-
-    @property
-    def full(self) -> Mask:
-        return self.space.full
-
-    @property
-    def universe(self):
-        return self.space.universe
+        self.universe = space.universe
+        self.full: Mask = space.full
 
     def describe(self) -> str:
         return f"{self.space.describe()} closure={self.closure_variant}"

@@ -242,3 +242,19 @@ def test_context_operator_tables(variant):
         assert list(ctx.bd_table) == bd, label
         sbd = [scl[a] & scl[full ^ a] for a in masks]
         assert list(ctx.sbd_table) == sbd == [s_boundary(ctx, a) for a in masks], label
+
+
+@pytest.mark.parametrize("variant", ["pointwise", "lattice"])
+def test_semi_open_family_is_union_closed(variant):
+    # README, "Derived facts": the semi-open family is the union of the
+    # intervals [O, cl(O)] over the gamma-open O, which are closed under
+    # unions, and both closures are monotone; so the family is closed under
+    # unions, the semi-interior is idempotent, and X is the family's largest
+    # member (a family fixes its universe, as the claims' family memo needs)
+    for space in CASES:
+        ctx = SemistarContext(space, variant)
+        so, sint = ctx.so_set, ctx.sint_table
+        label = ctx.describe()
+        assert ctx.so_family[-1] == ctx.full, label
+        assert all((a | b) in so for a in so for b in so), label
+        assert all(sint[sint[a]] == sint[a] for a in range(ctx.full + 1)), label

@@ -1,14 +1,30 @@
-"""The space-claim predicates, which index context tables and take the
-evaluation options explicitly, against a copy of the reading path they
-replaced: an environment that wraps the context and the options and
-forwards each operator per mask, with the predicates written over it.
+"""The space-claim terms, compiled into `holds` and into one sweep per
+claim, against a copy of the reading path they replaced: an environment
+that wraps the context and the options and forwards each operator per mask,
+with the predicates written over it. Also the names each term reads, which
+decide when a sweep's first failure is reused across contexts that share a
+semi-open family, and that reuse itself.
 
 Cases: every topology on at most 3 points under the three builtins, both
-closures, both interior readings and both semi-regular readings."""
+closures, both interior readings and both semi-regular readings; and the
+search stream on at most 3 points with 8 operations per topology."""
 import pytest
 
 from topogamma import GammaSpace, SemistarContext, enumerate_topologies, gamma_builtin
-from topogamma.claims import EvalOptions, _hypothesis_met, list_claims
+from topogamma.claims import (
+    _BINDINGS,
+    _FAMILY,
+    _LAWS,
+    _VOCABULARY,
+    EvalOptions,
+    SearchConfig,
+    _context_stream,
+    _dependency,
+    _hypothesis_met,
+    _space_claim,
+    evaluate_claim,
+    list_claims,
+)
 from topogamma.core import submasks, supersets
 from topogamma.ops import BUILTIN_KINDS
 
@@ -247,3 +263,161 @@ def test_predicates_match_reference(closure):
     for reading in ("lattice", "pointwise"):
         assert {("T3.26.3", reading, False), ("T3.26.3", reading, True)} <= outcomes
     assert {("T3.13", False), ("T3.24", False)} <= {(c, g) for c, _, g in outcomes}
+
+
+@pytest.mark.parametrize("closure", ["pointwise", "lattice"])
+def test_sweeps_find_the_reference_first_failure(closure):
+    # the compiled sweep, and the sweep behind the family memo (warm across
+    # the spaces that share a family), return the first binding of the
+    # claim's own bindings on which the reference predicate fails
+    claims = [c for c in list_claims() if c.id in REFERENCE]
+    options = [
+        EvalOptions(closure_variant=closure, interior_reading=reading, semi_regular_variant=sr)
+        for reading in ("lattice", "pointwise") for sr in ("cap", "cup")
+    ]
+    failures = set()
+    for space in SPACES:
+        ctx = SemistarContext(space, closure)
+        for opt in options:
+            ref = RefSpaceEnv(ctx, opt)
+            for claim in claims:
+                bindings, holds = REFERENCE[claim.id]
+                expected = next((b for b in bindings(ref) if not holds(ref, b)), None)
+                label = (claim.id, ctx.describe(), opt)
+                assert claim.term.sweep(ctx, opt, claim.bindings(ctx)) == expected, label
+                got = claim.term.first_failure(ctx, opt, claim.bindings(ctx))
+                assert got == expected, label
+                failures.add((claim.id, expected is None))
+    assert {("T3.13", False), ("T3.13", True), ("T3.24", False)} <= failures
+
+
+# claim id -> (the vocabulary names its term reads, whether its first
+# failure is reused per semi-open family under the lattice and under the
+# pointwise interior reading)
+READS = {
+    "T3.13": ({"scl"}, True, True),
+    "T3.14": ({"full", "scl", "sint"}, True, True),
+    "T3.16": ({"full", "sbd", "scl", "sint"}, True, True),
+    "P3.17a": ({"full", "sbd"}, True, True),
+    "P3.17b": ({"scl"}, True, True),
+    "T3.18.1": ({"sbd", "scl", "sint"}, True, True),
+    "T3.18.2": ({"sbd", "sint"}, True, True),
+    "T3.18.3": ({"sbd", "scl", "sint"}, True, True),
+    "T3.18.4": ({"sbd", "sint"}, True, True),
+    "T3.18.5": ({"sbd", "scl"}, True, True),
+    "T3.18.6": ({"full", "sbd", "sint"}, True, True),
+    "T3.18.7": ({"full", "sbd", "sint"}, True, True),
+    "T3.19.1": ({"so", "sbd"}, True, True),
+    "T3.19.2": ({"sc", "sbd"}, True, True),
+    "T3.20": ({"sbd"}, True, True),
+    "T3.24": ({"so"}, True, True),
+    "T3.26.1": ({"si"}, True, False),
+    "T3.26.2": ({"si"}, True, False),
+    "T3.26.3": ({"si"}, True, False),
+    "T3.27.1": ({"full", "sint"}, True, True),
+    "T3.27.2": ({"full", "sbd", "scl"}, True, True),
+    "T3.27.3": ({"sbd", "scl"}, True, True),
+    "P3.28.1": ({"full", "sint"}, True, True),
+    "P3.28.2": ({"full", "sint"}, True, True),
+    "P3.29": ({"ctx", "sandwich_closed", "sc"}, False, False),
+    "T3.30": ({"ctx", "int_of_cl_closed", "sc"}, False, False),
+    "L4.4": ({"cl", "int"}, False, False),
+    "L4.10": ({"sbd"}, True, True),
+    "P4.11": ({"cl"}, False, False),
+    "L4.12": ({"bd"}, False, False),
+}
+
+
+def test_terms_read_the_pinned_names():
+    # P4.11 and L4.12 hold on every instance under both closures (README,
+    # "Derived facts"), so no sweep can tell their cl and bd from scl and
+    # sbd: the names are pinned here instead
+    claim_by_id = {c.id: c for c in list_claims()}
+    terms = {c.id: c.term for c in list_claims() if c.term is not None}
+    assert sorted(terms) == sorted(READS)
+    for cid, (reads, lattice, pointwise) in READS.items():
+        term = terms[cid]
+        assert term.reads == reads, cid
+        assert term.family_only == {"lattice": lattice, "pointwise": pointwise}, cid
+        assert claim_by_id[cid].uses_interior_reading == ("si" in reads), cid
+    assert sum(lattice for _, lattice, _ in READS.values()) == 25
+
+
+def test_family_only_names_follow_the_family():
+    # on a stream where many contexts of both closures share a semi-open
+    # family, each name declared family-only under a reading binds to one
+    # value per family, and each name declared otherwise takes two values
+    # on some family; likewise for the binding generators
+    contexts = [
+        ctx for closure in ("pointwise", "lattice")
+        for ctx in _context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure))
+    ]
+    by_family = {}
+    for ctx in contexts:
+        by_family.setdefault(ctx.so_family, []).append(ctx)
+    for reading in ("lattice", "pointwise"):
+        opt = EvalOptions(interior_reading=reading)
+        for name, (source, _) in _VOCABULARY.items():
+            if source is None:
+                continue
+            spread = max(
+                len({eval(source, {"ctx": ctx, "opt": opt}) for ctx in group})
+                for group in by_family.values()
+            )
+            assert (spread == 1) == (_dependency(name, reading) == _FAMILY), (name, reading)
+    for generator, (_, reads) in _BINDINGS.items():
+        spread = max(
+            len({tuple(generator(ctx)) for ctx in group}) for group in by_family.values()
+        )
+        family_only = all(_dependency(name, "lattice") == _FAMILY for name in reads)
+        assert (spread == 1) == family_only, generator.__name__
+
+
+def _stream_verdicts(claims, contexts, options):
+    return [
+        [evaluate_claim(claim, ctx, opt, label="").to_dict() for opt in options for claim in claims]
+        for ctx in contexts
+    ]
+
+
+@pytest.mark.parametrize("closure", ["pointwise", "lattice"])
+def test_family_reuse_is_order_free(closure):
+    # a stream on which many contexts share a family, swept by fresh claims
+    # (empty memos), again by the same claims (every family memoized), and
+    # by other fresh claims in reverse order, against the memo-free sweep
+    contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure)))
+    assert len({ctx.so_family for ctx in contexts}) * 8 < len(contexts)
+    options = [EvalOptions(closure_variant=closure, interior_reading=reading, require=())
+               for reading in ("lattice", "pointwise")]
+    cold = [_space_claim(*row) for row in _LAWS]
+    first = _stream_verdicts(cold, contexts, options)
+    assert _stream_verdicts(cold, contexts, options) == first
+    reverse = [_space_claim(*row) for row in _LAWS]
+    assert _stream_verdicts(reverse, contexts[::-1], options)[::-1] == first
+    witnesses = [v["witness"] and tuple(v["witness"]["binding"]) for row in first for v in row]
+    assert witnesses == [
+        claim.term.sweep(ctx, opt, claim.bindings(ctx))
+        for ctx in contexts for opt in options for claim in cold
+    ]
+    assert {v["status"] for row in first for v in row} == {"CONFIRMED", "REFUTED"}
+
+
+def test_sweep_reads_bindings_off_the_claim():
+    # a claim's `bindings` can be re-bound (the benchmark's tracer counts
+    # bindings this way), so a sweep takes exactly the bindings evaluation
+    # reads off the claim, and a memoized family takes none
+    row = next(r for r in _LAWS if r[0] == "T3.18.1")
+    claim = _space_claim(*row)
+    taken = []
+
+    def counted(ctx):
+        for binding in row[2](ctx):
+            taken.append(binding)
+            yield binding
+
+    object.__setattr__(claim, "bindings", counted)
+    space = SPACES[-1]
+    for closure in ("pointwise", "lattice"):
+        evaluate_claim(claim, SemistarContext(space, closure))
+        # both closures give this space one family, so the second is a hit
+        assert taken == [(a,) for a in range(space.full + 1)], closure
