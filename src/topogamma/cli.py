@@ -31,7 +31,7 @@ from .jsonio import (
     load_bundle,
     parse_set,
     set_to_labels,
-    space_to_json,
+    topologies_to_json,
 )
 from .maps import MapInstance
 from .ops import OPERATION_DOMAINS
@@ -89,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--domain", choices=OPERATION_DOMAINS, default="opens")
     search.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
     search.add_argument("--sr", choices=("cap", "cup"), default="cap", help=_SR_HELP)
+    search.add_argument("--interior", choices=("lattice", "pointwise"), default="lattice")
     search.add_argument("--no-stop", action="store_true",
                         help="keep sweeping after the first refutation")
     search.add_argument("--json", action="store_true")
@@ -116,7 +117,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _fmt_family(universe, family) -> str:
-    return " ".join(universe.format_set(m) for m in family)
+    # families come from validated tables, so their masks index directly
+    return " ".join(map(universe.format_table.__getitem__, family))
 
 
 def _cmd_show(args) -> int:
@@ -212,6 +214,7 @@ def _cmd_search(args) -> int:
         stop_at_first=not args.no_stop,
         closure_variant=args.closure,
         semi_regular_variant=args.sr,
+        interior_reading=args.interior,
     )
     outcome = search_counterexample(args.claim, config)
     payload = outcome.to_dict()
@@ -251,15 +254,11 @@ def _cmd_enumerate(args) -> int:
         _emit({"n": args.n, "count": len(topologies)}, args.json, str(len(topologies)))
         return 0
     if args.json:
-        payload = {
-            "n": args.n,
-            "count": len(topologies),
-            "topologies": [space_to_json(t) for t in topologies],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(topologies_to_json(args.n, topologies) + "\n")
     else:
-        for topology in topologies:
-            print(_fmt_family(topology.universe, topology.opens))
+        sys.stdout.write("".join(
+            _fmt_family(t.universe, t.opens) + "\n" for t in topologies
+        ))
     return 0
 
 

@@ -69,12 +69,30 @@ class Universe:
                 raise ValueError(f"unknown point {name!r} in universe {self.labels}")
         return mask
 
+    # rendering tables, one entry per mask (at most 256), built on first use
+    # and shared by every label site of the universe
+    @cached_property
+    def names_table(self) -> tuple[tuple[str, ...], ...]:
+        """names_table[A] is the labels of A's points in bit order."""
+        table: list[tuple[str, ...]] = [()]
+        for lab in self.labels:
+            # the masks with this point as their highest are the earlier
+            # masks plus the point
+            table += [names + (lab,) for names in table]
+        return tuple(table)
+
+    @cached_property
+    def format_table(self) -> tuple[str, ...]:
+        """format_table[A] is A as a brace literal like {a,b}."""
+        return tuple("{" + ",".join(names) + "}" for names in self.names_table)
+
     def names_of(self, mask: Mask) -> tuple[str, ...]:
         self.check(mask)
-        return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
+        return self.names_table[mask]
 
     def format_set(self, mask: Mask) -> str:
-        return "{" + ",".join(self.names_of(mask)) + "}"
+        self.check(mask)
+        return self.format_table[mask]
 
 
 def default_universe(n: int) -> Universe:
@@ -241,52 +259,53 @@ def _preorder_rows(n: int) -> Iterator[tuple[Mask, ...]]:
     """Every reflexive transitive relation on n points, as up-set rows.
 
     rows[i] is the set of points reachable from i; reflexivity forces
-    bit i. Rows are placed one at a time and consistency of each new row
-    against all earlier rows is checked immediately, so every leaf is a
-    valid preorder and no leaf is visited twice.
+    bit i. Rows are placed one at a time and each new row is checked
+    against all earlier rows at once, so every leaf is a valid preorder and
+    no leaf is visited twice. A candidate row for point i must
+      - contain the rows of the earlier points it reaches: up[c below i],
+        the union of those rows, fits in c, and
+      - fit in the row of every earlier point that reaches i.
     """
+    full = (1 << n) - 1
+    with_point = [[c for c in range(full + 1) if c >> i & 1] for i in range(n)]
     rows: list[Mask] = [0] * n
-    full = (1 << n) - 1
 
-    def place(i: int) -> Iterator[tuple[Mask, ...]]:
-        if i == n:
-            yield tuple(rows)
-            return
-        for candidate in range(full + 1):
-            if not candidate >> i & 1:
-                continue
-            ok = True
-            for j in range(i):
-                if candidate >> j & 1 and rows[j] & ~candidate:
-                    ok = False
-                    break
-                if rows[j] >> i & 1 and candidate & ~rows[j]:
-                    ok = False
-                    break
-            if ok:
+    def place(i: int, up: list[Mask]) -> Iterator[tuple[Mask, ...]]:
+        # up[A], for A among the first i points, is the union of their rows
+        below = (1 << i) - 1
+        allowed = full
+        for row in rows[:i]:
+            if row >> i & 1:
+                allowed &= row
+        for candidate in with_point[i]:
+            if candidate & ~allowed == 0 and up[candidate & below] & ~candidate == 0:
                 rows[i] = candidate
-                yield from place(i + 1)
-        rows[i] = 0
+                if i + 1 == n:
+                    yield tuple(rows)
+                else:
+                    yield from place(i + 1, up + [u | candidate for u in up])
 
-    yield from place(0)
+    yield from place(0, [0])
 
 
-def _opens_of_preorder(rows: tuple[Mask, ...], n: int) -> tuple[Mask, ...]:
-    # open sets are exactly the up-sets: A open iff rows[i] fits in A for i in A
-    full = (1 << n) - 1
-    out = []
-    for a in range(full + 1):
-        rest = a
-        ok = True
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if rows[i] & ~a:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            out.append(a)
-    return tuple(out)
+def _opens_of_preorder(rows: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """The open sets of the topology whose specialization preorder has up-set
+    rows `rows`: exactly the up-sets, A open iff rows[i] fits in A for every
+    i in A.
+
+    The up-closure of A is the union of the rows of A's points, and A is
+    open iff it equals its up-closure, so the opens are exactly the unions
+    of rows. They are built one row at a time: the unions of the first i+1
+    rows are the unions of the first i, each also joined with rows[i]. So
+    each open found so far takes one step per row, with no loop over
+    points. (A table of up-closures over every mask takes one step per
+    mask instead; at n = 5 a topology has 9.6 opens on average against 32
+    masks.)
+    """
+    opens = {0}
+    for row in rows:
+        opens |= {o | row for o in opens}
+    return tuple(sorted(opens))
 
 
 def enumerate_topologies(n: int) -> Iterator[Topology]:
@@ -300,7 +319,7 @@ def enumerate_topologies(n: int) -> Iterator[Topology]:
     if not 1 <= n <= ENUMERATION_CAP:
         raise UniverseTooLarge(f"topology enumeration supports 1..{ENUMERATION_CAP} points")
     universe = default_universe(n)
-    families = sorted(_opens_of_preorder(rows, n) for rows in _preorder_rows(n))
+    families = sorted(_opens_of_preorder(rows) for rows in _preorder_rows(n))
     for fam in families:
         yield Topology(universe, fam)
 

@@ -188,6 +188,44 @@ def space_to_json(topology: Topology, operation: Optional[GammaOperation] = None
     return out
 
 
+def _reindent(text: str, depth: int) -> str:
+    """An indent=2 fragment moved `depth` levels in, for embedding."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def topologies_to_json(n: int, topologies) -> str:
+    """The enumerate --json document: exactly
+    json.dumps({"n": n, "count": ..., "topologies": [space_to_json(t), ...]},
+    indent=2, sort_keys=True), without the trailing newline.
+
+    indent= selects the pure-Python encoder, which would walk every label
+    of every topology. Here json.dumps encodes each mask's labels and the
+    points once per universe, and each topology object is joined from
+    those fragments, re-indented to their depth: the object sits at depth
+    2 of the document, its "opens" entries at depth 4.
+    """
+    fragments = {}
+    items = []
+    for topology in topologies:
+        universe = topology.universe
+        if universe not in fragments:
+            labels = family_to_labels(universe, range(universe.full + 1))
+            points = _reindent(json.dumps(list(universe.labels), indent=2), 3)
+            fragments[universe] = (
+                [_reindent(json.dumps(names, indent=2), 4) for names in labels],
+                f'\n      ],\n      "points": {points}\n    }}',
+            )
+        masks, tail = fragments[universe]
+        # opens always hold the empty and the full set, so never render as []
+        opens = ",\n        ".join([masks[m] for m in topology.opens])
+        items.append('{\n      "opens": [\n        ' + opens + tail)
+    listing = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    return (
+        f'{{\n  "count": {len(items)},\n  "n": {json.dumps(n)},\n'
+        f'  "topologies": {listing}\n}}'
+    )
+
+
 def load_bundle(
     space_path: str,
     operation_path: Optional[str] = None,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from topogamma.claims import SearchConfig, search_counterexample
 from topogamma.cli import run
 
 F5_SPACE = {
@@ -169,6 +170,25 @@ class TestSearch:
         assert first == second
         payload = json.loads(first)
         assert payload["status"] == "REFUTED"
+
+    @pytest.mark.parametrize("claim, drop", [
+        ("T3.26.1", ()),
+        # refutes, so the reading shows in the witness's variant
+        ("T3.26.3", ("semi-regular",)),
+    ])
+    def test_interior_reading(self, capsys, claim, drop):
+        argv = ["search", "--claim", claim, "--interior", "pointwise",
+                "--max-n", "3", "--budget", "4", "--json"]
+        for hypothesis in drop:
+            argv += ["--drop", hypothesis]
+        config = SearchConfig(max_n=3, op_budget=4, drop=frozenset(drop),
+                              interior_reading="pointwise")
+        expected = search_counterexample(claim, config).to_dict()
+        code = run(argv)
+        assert json.loads(capsys.readouterr().out) == expected
+        assert code == (1 if expected["status"] == "REFUTED" else 0)
+        if expected["witness"]:
+            assert expected["witness"]["variant"]["interior"] == "pointwise"
 
     def test_fixture_claim_is_usage_error(self, capsys):
         # a worked-example claim checks one fixture; on a 1-point space it

@@ -71,6 +71,7 @@ def files(*valid):
 SPACES = files("f5", "tau1", "two")
 CLOSURES = values(["pointwise", "lattice"], ["other"])
 SR = values(["cap", "cup"], ["other"])
+INTERIOR = values(["lattice", "pointwise"], ["other"])
 DROPS = values(list(KNOWN_HYPOTHESES), ["other"])
 
 # subcommand -> flag -> (required, value strategy or None for a switch);
@@ -95,7 +96,7 @@ FLAGS = {
         "--codomain-op": (False, files("gamma2", "closure_op")),
         "--closure": (False, CLOSURES),
         "--sr": (False, SR),
-        "--interior": (False, values(["lattice", "pointwise"], ["other"])),
+        "--interior": (False, INTERIOR),
         "--drop": (False, DROPS),
         "--json": (False, None),
     },
@@ -107,6 +108,7 @@ FLAGS = {
         "--domain": (False, values(["opens", "semi-opens"], ["other"])),
         "--closure": (False, CLOSURES),
         "--sr": (False, SR),
+        "--interior": (False, INTERIOR),
         "--no-stop": (False, None),
         "--json": (False, None),
     },

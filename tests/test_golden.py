@@ -1,7 +1,10 @@
 """Reports against their committed golden copies, byte for byte: the audit
 report (`audit --json` and `audit`, recorded before the space-search fast
-paths) and the registry listing (`claims --json` and `claims`, recorded
-before the statements and hypotheses moved into declaration tables)."""
+paths), the registry listing (`claims --json` and `claims`, recorded
+before the statements and hypotheses moved into declaration tables) and
+the sha256 of every `enumerate --n k` listing, text and JSON (recorded
+before rendering moved to per-universe label tables)."""
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,17 @@ def test_audit_text_matches_golden(report):
 def test_claims_listing_matches_golden(capsys, argv, golden):
     assert run(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# "<sha256>  <argv>" per line, as sha256sum prints it
+ENUMERATE_DIGESTS = [
+    line.split("  ", 1)[::-1]
+    for line in (GOLDEN / "enumerate.sha256").read_text(encoding="utf-8").splitlines()
+]
+
+
+@pytest.mark.parametrize("command, digest", ENUMERATE_DIGESTS,
+                         ids=[command for command, _ in ENUMERATE_DIGESTS])
+def test_enumerate_listing_matches_golden_digest(capsys, command, digest):
+    assert run(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
