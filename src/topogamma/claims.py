@@ -10,14 +10,14 @@ against the fixture catalog to produce a deterministic audit report.
 A claim is a declaration over tables that already exist. A T/P/L space
 claim is a term such as `scl[A | B] == scl[A] | scl[B]` over the names of
 its `SemistarContext` tables, compiled on first use into one sweep that
-returns the first failing binding; a map claim's predicate indexes the two
-contexts and the point map's tables through a `MapEnv`. Every predicate is
-called as `holds(subject, opt, binding)`, so the evaluation options reach
-it explicitly. The map "iff" claims are declared as named sides that must
-agree, and the worked-example entries (ids starting with E) as rows of a
-table comparing a computed value with the one reported for a catalog
-fixture; where the oracle disagrees, the audit files the entry under
-errata instead of failing.
+returns the first failing binding; a map claim's predicate reads its
+`MapInstance`: the two contexts and the point map's tables. Every
+predicate is called as `holds(subject, opt, binding)`, so the evaluation
+options reach it explicitly. The map "iff" claims are declared as named
+sides that must agree, and the worked-example entries (ids starting with
+E) as rows of a table comparing a computed value with the one reported
+for a catalog fixture; where the oracle disagrees, the audit files the
+entry under errata instead of failing.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import maps
@@ -95,35 +94,11 @@ class EvalOptions:
                     raise ValueError(f"unknown hypothesis {name!r}")
 
 
-class MapEnv:
-    """Evaluation environment over one map instance: the two contexts and the
-    point map's tables, which predicates index with masks of the right side."""
-
-    def __init__(self, inst: MapInstance):
-        self.inst = inst
-        self.X = inst.domain_ctx
-        self.Y = inst.codomain_ctx
-        self.img = inst.map.image_table
-        self.pre = inst.map.preimage_table
-
-    def __getattr__(self, name: str) -> bool:
-        # the whole-map flags, stored as plain attributes on first read: an env
-        # lives for one instance, so a cached_property's lock costs every time
-        if name == "semi_continuous":
-            value = maps.is_gamma_semi_continuous(self.inst).ok
-        elif name == "semi_open_map":
-            value = maps.is_gamma_semi_open_map(self.inst).ok
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class Claim:
     """One registry entry: an executable statement plus its hypotheses. The
     subject of `bindings`, `holds` and `detail` is the `SemistarContext` of a
-    space claim or the `MapEnv` of a map claim."""
+    space claim or the `MapInstance` of a map claim."""
 
     id: str
     kind: str                                   # "space" | "map"
@@ -215,13 +190,12 @@ def _tau_disjoint(ctx: SemistarContext) -> Iterator[tuple]:
             yield (a, b)
 
 
-def _so_singles_x(env: MapEnv) -> Iterator[tuple]:
-    for a in env.X.so_family:
+def _so_singles_x(inst: MapInstance) -> Iterator[tuple]:
+    for a in inst.domain_ctx.so_family:
         yield (a,)
 
 
 _SET = "set"
-_SETX = "setX"
 _A = (("A", _SET),)
 _AB = (("A", _SET), ("B", _SET))
 
@@ -341,67 +315,74 @@ class _Term:
         return self.memo[key]
 
 
-# --- map predicates and equivalence sides: side(env) ----------------------------
+# --- map predicates and equivalence sides: side(inst) ---------------------------
 
-_continuity = attrgetter("semi_continuous")
-_semi_open_map = attrgetter("semi_open_map")
+def _continuity(inst: MapInstance) -> bool:
+    return maps.is_gamma_semi_continuous(inst).ok
 
 
-def _pointwise_continuity(env: MapEnv) -> bool:
+def _semi_open_map(inst: MapInstance) -> bool:
+    return maps.is_gamma_semi_open_map(inst).ok
+
+
+def _pointwise_continuity(inst: MapInstance) -> bool:
     # a semi-open A holding x has f(A) inside B exactly when A lies inside
     # f^-1(B), so f is pointwise continuous iff every f^-1(B) is its own
     # semi-interior
-    sint, pre = env.X.sint_table, env.pre
-    return all(sint[pre[b]] == pre[b] for b in env.Y.space.tau_gamma)
+    sint, pre = inst.domain_ctx.sint_table, inst.map.preimage_table
+    return all(sint[pre[b]] == pre[b] for b in inst.codomain_ctx.space.tau_gamma)
 
 
-def _open_map_imageside(env: MapEnv) -> bool:
-    img, int_x = env.img, env.X.int_table
-    cl_y, int_y = env.Y.cl_table, env.Y.int_table
-    for e in range(env.X.full + 1):
+def _open_map_imageside(inst: MapInstance) -> bool:
+    X, Y, img = inst.domain_ctx, inst.codomain_ctx, inst.map.image_table
+    int_x, cl_y, int_y = X.int_table, Y.cl_table, Y.int_table
+    for e in range(X.full + 1):
         if img[int_x[e]] & ~cl_y[int_y[img[e]]]:
             return False
     return True
 
 
-def _open_map_preimageside(env: MapEnv) -> bool:
-    pre, int_x, cl_x = env.pre, env.X.int_table, env.X.cl_table
-    int_y = env.Y.int_table
-    for g in range(env.Y.full + 1):
+def _open_map_preimageside(inst: MapInstance) -> bool:
+    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    int_x, cl_x, int_y = X.int_table, X.cl_table, Y.int_table
+    for g in range(Y.full + 1):
         if int_x[pre[g]] & ~cl_x[pre[int_y[g]]]:
             return False
     return True
 
 
-def _scl_image_side(env: MapEnv) -> bool:
-    img, scl_x, cl_y = env.img, env.X.scl_table, env.Y.cl_table
-    return all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(env.X.full + 1))
+def _scl_image_side(inst: MapInstance) -> bool:
+    X, Y, img = inst.domain_ctx, inst.codomain_ctx, inst.map.image_table
+    scl_x, cl_y = X.scl_table, Y.cl_table
+    return all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(X.full + 1))
 
 
-def _boundary_preimage_side(env: MapEnv) -> bool:
-    pre, sbd_x, bd_y = env.pre, env.X.sbd_table, env.Y.bd_table
-    return all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(env.Y.full + 1))
+def _boundary_preimage_side(inst: MapInstance) -> bool:
+    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    sbd_x, bd_y = X.sbd_table, Y.bd_table
+    return all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(Y.full + 1))
 
 
-def _t49_side(env: MapEnv) -> bool:
-    scl_x, cl_x = env.X.scl_table, env.X.cl_table
-    return all(scl_x[p] & ~cl_x[p] == 0 for p in env.pre)
+def _t49_side(inst: MapInstance) -> bool:
+    scl_x, cl_x = inst.domain_ctx.scl_table, inst.domain_ctx.cl_table
+    return all(scl_x[p] & ~cl_x[p] == 0 for p in inst.map.preimage_table)
 
 
-def _t49p_side(env: MapEnv) -> bool:
-    img, pre = env.img, env.pre
-    scl_x, cl_y = env.X.scl_table, env.Y.cl_table
-    return all(img[scl_x[pre[g]]] & ~cl_y[g] == 0 for g in range(env.Y.full + 1))
+def _t49p_side(inst: MapInstance) -> bool:
+    X, Y, pm = inst.domain_ctx, inst.codomain_ctx, inst.map
+    img, pre, scl_x, cl_y = pm.image_table, pm.preimage_table, X.scl_table, Y.cl_table
+    return all(img[scl_x[pre[g]]] & ~cl_y[g] == 0 for g in range(Y.full + 1))
 
 
-def _t413_side(env: MapEnv) -> bool:
-    pre, sbd_y, bd_x = env.pre, env.Y.sbd_table, env.X.bd_table
-    return all(pre[sbd_y[c]] & ~bd_x[pre[c]] == 0 for c in range(env.Y.full + 1))
+def _t413_side(inst: MapInstance) -> bool:
+    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    sbd_y, bd_x = Y.sbd_table, X.bd_table
+    return all(pre[sbd_y[c]] & ~bd_x[pre[c]] == 0 for c in range(Y.full + 1))
 
 
-def _t47(env, opt, b):
+def _t47(inst, opt, b):
     (a,) = b
-    return env.img[a] in env.Y.so_set
+    return inst.map.image_table[a] in inst.codomain_ctx.so_set
 
 
 # --- worked-example values: computed(ctx, opt) -------------------------------------
@@ -572,15 +553,15 @@ def _equivalence(cid, statement, sides, hyps=(), notes=""):
     keyed by side name in declaration order."""
     first, *rest = sides.values()
 
-    def holds(env, opt, b):
-        want = first(env)
+    def holds(inst, opt, b):
+        want = first(inst)
         for side in rest:
-            if side(env) != want:
+            if side(inst) != want:
                 return False
         return True
 
-    def detail(env, opt, b):
-        return {name: side(env) for name, side in sides.items()}
+    def detail(inst, opt, b):
+        return {name: side(inst) for name, side in sides.items()}
 
     return Claim(
         id=cid,
@@ -644,7 +625,7 @@ def _build_registry() -> tuple:
                      {"image_side": _semi_open_map, "preimage_side": _open_map_preimageside}),
         Claim(id="T4.7", kind="map", statement="images of semi-open sets are semi-open",
               bindings=_so_singles_x, holds=_t47,
-              hypotheses=("open", "semi-continuous", "semi-open-map"), slots=(("A", _SETX),)),
+              hypotheses=("open", "semi-continuous", "semi-open-map"), slots=_A),
         _equivalence("T4.8", "continuity, scl-image containment, and boundary-preimage "
                      "containment are equivalent",
                      {"continuity": _continuity, "closure_of_image": _scl_image_side,
@@ -725,19 +706,19 @@ def _hypothesis_met(name: str, subject, opt: EvalOptions) -> bool:
             return _sr_flag(cls, opt)
         raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
     if name == "bijective":
-        return subject.inst.map.bijective
+        return subject.map.bijective
     if name == "semi-continuous":
-        return subject.semi_continuous
+        return _continuity(subject)
     if name == "semi-open-map":
-        return subject.semi_open_map
+        return _semi_open_map(subject)
     # a flag is decided when first read, so each hypothesis decides only
     # the flags it names (T4.2's `regular` never classifies the codomain)
-    cls_x = subject.X.space.classification
+    cls_x = subject.domain_ctx.space.classification
     if name == "regular":
         return cls_x.regular
     if name == "semi-regular":
         return _sr_flag(cls_x, opt)
-    cls_y = subject.Y.space.classification
+    cls_y = subject.codomain_ctx.space.classification
     if name == "open":
         return cls_x.open_op and cls_y.open_op
     if name == "monotone":
@@ -762,10 +743,10 @@ def _gate(hypotheses: tuple, uses_interior: bool, opt: EvalOptions,
 
 
 def _render_binding(claim: Claim, subject, opt: EvalOptions, binding: tuple) -> dict:
-    universe = subject.universe if claim.kind == "space" else subject.X.universe
+    universe = subject.universe if claim.kind == "space" else subject.domain_ctx.universe
     slots = {}
     for (name, kind), value in zip(claim.slots, binding):
-        slots[name] = universe.format_set(value) if kind in (_SET, _SETX) else value
+        slots[name] = universe.format_set(value) if kind == _SET else value
     witness = {"binding": list(binding)}
     if slots:
         witness["slots"] = slots
@@ -774,15 +755,12 @@ def _render_binding(claim: Claim, subject, opt: EvalOptions, binding: tuple) -> 
     return witness
 
 
-def _run(claim: Claim, subject, opt: EvalOptions, label: str,
-         closure: str, extra_variant: Optional[dict] = None) -> Verdict:
+def _run(claim: Claim, subject, opt: EvalOptions, label: str, closure: str) -> Verdict:
     """Gate, then sweep the bindings for the first one the claim fails on.
     A verdict labelled "" is one the caller will most likely discard, so
     its witness holds the binding only."""
     hyps, variant = _gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)
     variant = dict(variant)
-    if extra_variant:
-        variant.update(extra_variant)
     for h in hyps:
         if not _hypothesis_met(h, subject, opt):
             variant["unmet"] = h
@@ -842,8 +820,7 @@ def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
         label = f"{ctx_x.describe()} -> {ctx_y.describe()}"
     met = 0
     for pm in point_maps:
-        env = MapEnv(MapInstance(ctx_x, ctx_y, pm))
-        verdict = _run(claim, env, opt, label, closure, {"maps": sweep_note})
+        verdict = _run(claim, MapInstance(ctx_x, ctx_y, pm), opt, label, closure)
         if verdict.status == VACUOUS:
             continue
         met += 1
@@ -890,7 +867,7 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
         closure = _closure_label(instance.domain_ctx, instance.codomain_ctx)
         if label is None:
             label = instance.describe()
-        return _run(claim, MapEnv(instance), opt, label, closure)
+        return _run(claim, instance, opt, label, closure)
     if isinstance(instance, tuple) and len(instance) == 2:
         return _evaluate_map_sweep(claim, instance, opt, label)
     raise ShapeMismatch(
@@ -908,12 +885,12 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
     if claim.kind == "space":
         subject = _claim_context(claim, instance, opt)
     elif isinstance(instance, MapInstance):
-        subject = MapEnv(instance)
+        subject = instance
     else:
         ctx_x = _as_context(instance[0], opt)
         ctx_y = _as_context(instance[1], opt)
         pm = PointMap.from_labels(ctx_x.universe, ctx_y.universe, witness["assign"])
-        subject = MapEnv(MapInstance(ctx_x, ctx_y, pm))
+        subject = MapInstance(ctx_x, ctx_y, pm)
     return not claim.holds(subject, opt, binding)
 
 
@@ -1047,9 +1024,8 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
             refutations += 1
             if first is None:
                 verdict.instance = instance.describe()
-                subject = instance if claim.kind == "space" else MapEnv(instance)
                 binding = tuple(verdict.witness["binding"])
-                verdict.witness = _render_binding(claim, subject, opt, binding)
+                verdict.witness = _render_binding(claim, instance, opt, binding)
                 if claim.kind == "space":
                     first_instance = instance.space
                 else:

@@ -46,6 +46,9 @@ class PointMap:
         extra = [lab for lab in mapping if lab not in source.labels]
         if extra:
             raise ValueError(f"assignment names unknown source points {extra}")
+        unknown = sorted({mapping[lab] for lab in source.labels} - set(target.labels))
+        if unknown:
+            raise ValueError(f"assignment names unknown target points {unknown}")
         return cls(
             source,
             target,

@@ -50,7 +50,8 @@ class OperationClass:
     image (intersection form). open: every open neighborhood image contains
     a gamma-open neighborhood. monotone: images preserve inclusion.
     semi_regular_cap / _cup: the regularity pattern quantified over
-    semi-open neighborhoods, with intersection / union on the right side.
+    semi-open neighborhoods, with intersection / union on the right side
+    (the union form holds for every operation, so it is a constant).
     semi_open_op: every semi-open neighborhood image contains a semi-open
     neighborhood.
     """
@@ -59,15 +60,15 @@ class OperationClass:
         self.space = space
         self.table = space.gamma.table
 
-    def _regular_over(self, family: tuple[Mask, ...], cap: bool) -> bool:
+    def _regular_over(self, family: tuple[Mask, ...]) -> bool:
         tab = self.table
         for x in range(self.space.universe.size):
             # only the images of the neighborhoods matter, and a pair with
             # one image is dominated by its own neighborhood
             images = {tab[u] for u in family if u >> x & 1}
             for g, h in combinations(images, 2):
-                target = g & h if cap else g | h
-                if not any(w & ~target == 0 for w in images):
+                meet = g & h
+                if not any(w & ~meet == 0 for w in images):
                     return False
         return True
 
@@ -79,7 +80,7 @@ class OperationClass:
 
     @cached_property
     def regular(self) -> bool:
-        return self._regular_over(self.space.topology.opens, cap=True)
+        return self._regular_over(self.space.topology.opens)
 
     @cached_property
     def open_op(self) -> bool:
@@ -97,11 +98,10 @@ class OperationClass:
 
     @cached_property
     def semi_regular_cap(self) -> bool:
-        return self._regular_over(self.space.topology.semi_opens, cap=True)
+        return self._regular_over(self.space.topology.semi_opens)
 
-    @cached_property
-    def semi_regular_cup(self) -> bool:
-        return self._regular_over(self.space.topology.semi_opens, cap=False)
+    # for any two images g and h around x, w = g gives w inside g | h
+    semi_regular_cup = True
 
     @cached_property
     def semi_open_op(self) -> bool:

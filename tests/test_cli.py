@@ -126,6 +126,16 @@ class TestCheck:
     def test_map_claim_without_codomain(self, files, capsys):
         assert run(["check", "--claim", "T4.2", "--space", files["f5"]]) == 2
 
+    def test_map_to_unknown_target_point_is_usage_error(self, files, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"assign": {"a": "a", "b": "z", "c": "c"}}))
+        code = run([
+            "check", "--claim", "T4.2", "--space", files["f5"],
+            "--map", str(bad), "--codomain", files["f5"],
+        ])
+        assert code == 2
+        assert "assignment names unknown target points ['z']" in capsys.readouterr().err
+
     def test_unknown_claim(self, files, capsys):
         assert run(["check", "--claim", "T0.0", "--space", files["f5"]]) == 2
         assert "T0.0" in capsys.readouterr().err

@@ -3,7 +3,10 @@ report (`audit --json` and `audit`, recorded before the space-search fast
 paths), the registry listing (`claims --json` and `claims`, recorded
 before the statements and hypotheses moved into declaration tables) and
 the sha256 of every `enumerate --n k` listing, text and JSON (recorded
-before rendering moved to per-universe label tables)."""
+before rendering moved to per-universe label tables), and the sha256 of
+small map-claim searches, text and JSON, under both closures (recorded
+while map claims still read their instance through a forwarding
+wrapper)."""
 import hashlib
 from pathlib import Path
 
@@ -38,10 +41,14 @@ def test_claims_listing_matches_golden(capsys, argv, golden):
 
 
 # "<sha256>  <argv>" per line, as sha256sum prints it
-ENUMERATE_DIGESTS = [
-    line.split("  ", 1)[::-1]
-    for line in (GOLDEN / "enumerate.sha256").read_text(encoding="utf-8").splitlines()
-]
+def _digests(name: str) -> list:
+    return [
+        line.split("  ", 1)[::-1]
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    ]
+
+
+ENUMERATE_DIGESTS = _digests("enumerate.sha256")
 
 
 @pytest.mark.parametrize("command, digest", ENUMERATE_DIGESTS,
@@ -49,3 +56,18 @@ ENUMERATE_DIGESTS = [
 def test_enumerate_listing_matches_golden_digest(capsys, command, digest):
     assert run(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# every map claim at --max-n 2 --budget 3 --no-stop, plus two dropped
+# hypotheses; T4.9 and T4.7 without semi-open-map refute there, so a detail
+# witness and a slot witness with its assignment are both pinned
+MAP_SEARCH_DIGESTS = _digests("map_search.sha256")
+
+
+@pytest.mark.parametrize("command, digest", MAP_SEARCH_DIGESTS,
+                         ids=[command for command, _ in MAP_SEARCH_DIGESTS])
+def test_map_search_matches_golden_digest(capsys, command, digest):
+    code = run(command.split())
+    out = capsys.readouterr().out
+    assert code == (1 if "REFUTED" in out else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,10 +6,9 @@ that the semi-interior identity replaces. Each "iff" claim is compared side
 by side: its `holds` and its witness detail both follow from its sides."""
 import pytest
 
-from topogamma import evaluate_claim, image, preimage
+from topogamma import evaluate_claim, image, maps, preimage
 from topogamma.claims import (
     REFUTED,
-    MapEnv,
     SearchConfig,
     _map_instances,
     get_claim,
@@ -181,7 +180,7 @@ def test_predicates_match_reference(max_n, budget, instances, closure):
     visited = 0
     for inst in _map_instances(config, opt):
         visited += 1
-        env, ref = MapEnv(inst), RefMapEnv(inst)
+        ref = RefMapEnv(inst)
         label = inst.describe
         # each reference side once per instance, shared by the claims naming it
         values = {}
@@ -191,16 +190,16 @@ def test_predicates_match_reference(max_n, budget, instances, closure):
                 if side not in values:
                     values[side] = side(ref)
                 sides[name] = values[side]
-            assert list(claim.bindings(env)) == [()], (claim.id, label())
-            got = claim.detail(env, opt, ())
+            assert list(claim.bindings(inst)) == [()], (claim.id, label())
+            got = claim.detail(inst, opt, ())
             assert list(got.items()) == list(sides.items()), (claim.id, label())
-            holds = claim.holds(env, opt, ())
+            holds = claim.holds(inst, opt, ())
             assert holds == (len(set(sides.values())) == 1), (claim.id, label())
             outcomes.add((claim.id, holds))
         expected = _t47_bindings(ref)
-        assert list(t47.bindings(env)) == expected, label()
+        assert list(t47.bindings(inst)) == expected, label()
         for binding in expected:
-            assert t47.holds(env, opt, binding) == _t47_holds(ref, binding), (label(), binding)
+            assert t47.holds(inst, opt, binding) == _t47_holds(ref, binding), (label(), binding)
     assert visited == instances
     # both outcomes occur, so the comparison is not between two constant
     # answers
@@ -223,3 +222,33 @@ def test_unlabelled_refutation_carries_only_its_binding():
         "binding": [],
         "detail": {name: side(ref) for name, side in SIDES["T4.9"].items()},
     }
+
+
+def test_each_whole_map_flag_is_decided_at_most_once_per_instance(monkeypatch):
+    # the flags are not cached on the instance: an unlabelled evaluation
+    # (what a search makes) reads each at most once, through a hypothesis
+    # gate or through one equivalence side
+    flags = ("is_gamma_semi_continuous", "is_gamma_semi_open_map")
+    calls = {}
+
+    def counted(name, check):
+        def wrapper(inst):
+            calls[name] = calls.get(name, 0) + 1
+            return check(inst)
+        return wrapper
+
+    for name in flags:
+        monkeypatch.setattr(maps, name, counted(name, getattr(maps, name)))
+    config = SearchConfig(max_n=2, op_budget=3)
+    opt = config.options()
+    claims = [c for c in list_claims() if c.kind == "map"]
+    decided = dict.fromkeys(flags, 0)
+    for inst in _map_instances(config, opt):
+        for claim in claims:
+            calls.clear()
+            evaluate_claim(claim, inst, opt, label="")
+            assert max(calls.values(), default=0) <= 1, (claim.id, calls)
+            for name in calls:
+                decided[name] += 1
+    # both flags are read, so the bound is not met by never reading them
+    assert min(decided.values()) > 0, decided

@@ -41,6 +41,10 @@ class TestPointMap:
         with pytest.raises(ValueError):
             PointMap.from_labels(U3, U3, {"a": "b", "b": "b", "c": "c", "d": "a"})
 
+    def test_from_labels_unknown_target_point(self):
+        with pytest.raises(ValueError, match=r"unknown target points \['z'\]"):
+            PointMap.from_labels(U3, U3, {"a": "a", "b": "z", "c": "c"})
+
     def test_rejects_partial_assignment(self):
         with pytest.raises(ValueError):
             PointMap(U3, U3, (0, 1))
