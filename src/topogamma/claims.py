@@ -61,26 +61,27 @@ KNOWN_HYPOTHESES = (
     "semi-open-map",
 )
 
+# a (domain, codomain) pair sweeps every point map up to MAP_CAP of them,
+# and beyond that a sample of MAP_CAP drawn with seed MAP_SEED
+MAP_CAP = 27
+MAP_SEED = 0
+
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Variant switches and hypothesis overrides for one evaluation."""
+    """Readings and hypothesis overrides for one evaluation. The closure
+    variant is not an option: it is the evaluated context's own."""
 
-    closure_variant: str = "pointwise"
     semi_regular_variant: str = "cap"
     interior_reading: str = "lattice"
     drop: frozenset = frozenset()
     require: Optional[tuple] = None
-    map_cap: int = 64
-    map_seed: int = 0
 
     def __post_init__(self):
         # hashable fields, so that options can key the gate cache
         object.__setattr__(self, "drop", frozenset(self.drop))
         if self.require is not None:
             object.__setattr__(self, "require", tuple(self.require))
-        if self.closure_variant not in CLOSURE_VARIANTS:
-            raise ValueError(f"unknown closure variant {self.closure_variant!r}")
         if self.semi_regular_variant not in SEMI_REGULAR_VARIANTS:
             raise ValueError(f"unknown semi-regular variant {self.semi_regular_variant!r}")
         if self.interior_reading not in INTERIOR_READINGS:
@@ -664,11 +665,12 @@ def get_claim(claim_id: str) -> Claim:
 
 # --- evaluation ---------------------------------------------------------------
 
-def _as_context(instance, opt: EvalOptions) -> SemistarContext:
+def _as_context(instance) -> SemistarContext:
     if isinstance(instance, SemistarContext):
         return instance
     if isinstance(instance, GammaSpace):
-        return SemistarContext(instance, opt.closure_variant)
+        # a bare space reads under the default, pointwise closure
+        return SemistarContext(instance)
     raise ShapeMismatch(
         f"space claim needs a space or context, got {type(instance).__name__}"
     )
@@ -680,10 +682,10 @@ def _fixture_shape(name: str) -> tuple:
     return space.topology, space.gamma.table
 
 
-def _claim_context(claim: Claim, instance, opt: EvalOptions) -> SemistarContext:
+def _claim_context(claim: Claim, instance) -> SemistarContext:
     """The context a space claim reads; a worked-example claim reads only
     its own fixture's topology and operation table."""
-    ctx = _as_context(instance, opt)
+    ctx = _as_context(instance)
     if claim.fixture is not None and (
         (ctx.space.topology, ctx.space.gamma.table) != _fixture_shape(claim.fixture)
     ):
@@ -785,35 +787,35 @@ def _run(claim: Claim, subject, opt: EvalOptions, label: str, closure: str) -> V
     return Verdict(claim.id, label, REFUTED, variant, witness)
 
 
-def _assignment_indices(total: int, opt: EvalOptions) -> list:
-    if total <= opt.map_cap:
+def _assignment_indices(total: int) -> list:
+    if total <= MAP_CAP:
         return list(range(total))
-    rng = random.Random(opt.map_seed)
-    return sorted(rng.sample(range(total), opt.map_cap))
+    rng = random.Random(MAP_SEED)
+    return sorted(rng.sample(range(total), MAP_CAP))
 
 
 def _assignment_of(index: int, size_x: int, size_y: int) -> tuple:
     return tuple((index // size_y**i) % size_y for i in range(size_x))
 
 
-def _point_maps(source, target, opt: EvalOptions) -> list:
+def _point_maps(source, target) -> list:
     """The maps a sweep visits from `source` to `target`, in sweep order."""
     total = target.size**source.size
     return [
         PointMap(source, target, _assignment_of(idx, source.size, target.size))
-        for idx in _assignment_indices(total, opt)
+        for idx in _assignment_indices(total)
     ]
 
 
 def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
                         label: Optional[str]) -> Verdict:
-    ctx_x = _as_context(pair[0], opt)
-    ctx_y = _as_context(pair[1], opt)
-    point_maps = _point_maps(ctx_x.universe, ctx_y.universe, opt)
+    ctx_x = _as_context(pair[0])
+    ctx_y = _as_context(pair[1])
+    point_maps = _point_maps(ctx_x.universe, ctx_y.universe)
     total = ctx_y.universe.size**ctx_x.universe.size
     sweep_note = (
-        f"exhaustive({total})" if total <= opt.map_cap
-        else f"sampled({len(point_maps)} of {total}, seed={opt.map_seed})"
+        f"exhaustive({total})" if total <= MAP_CAP
+        else f"sampled({len(point_maps)} of {total}, seed={MAP_SEED})"
     )
     closure = _closure_label(ctx_x, ctx_y)
     if label is None:
@@ -846,10 +848,13 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
                    label: Optional[str] = None) -> Verdict:
     """Evaluate one claim on one instance, sweeping its quantified slots.
 
-    Space claims take a GammaSpace or SemistarContext. Map claims take a
-    MapInstance, or a (domain, codomain) pair in which case the point map
-    becomes a swept slot (exhaustive up to `map_cap` assignments, then a
-    seeded sample, recorded in the verdict).
+    Space claims take a SemistarContext, or a GammaSpace read under the
+    pointwise closure. Map claims take a MapInstance, or a (domain,
+    codomain) pair of contexts or spaces, in which case the point map
+    becomes a swept slot (exhaustive up to MAP_CAP assignments, then a
+    sample seeded with MAP_SEED, recorded in the verdict). The closure
+    variant is always the contexts' own; `options` carry only the readings
+    and the hypothesis overrides.
 
     `label` names the instance in the verdict; None renders the instance's
     description. A caller that discards most verdicts passes "": a REFUTED
@@ -859,7 +864,7 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
     opt = options or EvalOptions()
     if claim.kind == "space":
-        ctx = _claim_context(claim, instance, opt)
+        ctx = _claim_context(claim, instance)
         if label is None:
             label = ctx.describe()
         return _run(claim, ctx, opt, label, ctx.closure_variant)
@@ -883,12 +888,12 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
     opt = options or EvalOptions()
     binding = tuple(witness.get("binding", ()))
     if claim.kind == "space":
-        subject = _claim_context(claim, instance, opt)
+        subject = _claim_context(claim, instance)
     elif isinstance(instance, MapInstance):
         subject = instance
     else:
-        ctx_x = _as_context(instance[0], opt)
-        ctx_y = _as_context(instance[1], opt)
+        ctx_x = _as_context(instance[0])
+        ctx_y = _as_context(instance[1])
         pm = PointMap.from_labels(ctx_x.universe, ctx_y.universe, witness["assign"])
         subject = MapInstance(ctx_x, ctx_y, pm)
     return not claim.holds(subject, opt, binding)
@@ -898,7 +903,8 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and overrides for a counterexample search."""
+    """Bounds and overrides for a counterexample search. The closure variant
+    is that of the contexts the stream builds; `options()` holds the rest."""
 
     max_n: int = 4
     op_budget: int = 64
@@ -908,8 +914,6 @@ class SearchConfig:
     closure_variant: str = "pointwise"
     semi_regular_variant: str = "cap"
     interior_reading: str = "lattice"
-    map_cap: int = 27
-    map_seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.max_n <= ENUMERATION_CAP:
@@ -919,24 +923,25 @@ class SearchConfig:
 
     def options(self) -> EvalOptions:
         return EvalOptions(
-            closure_variant=self.closure_variant,
             semi_regular_variant=self.semi_regular_variant,
             interior_reading=self.interior_reading,
             drop=frozenset(self.drop),
-            map_cap=self.map_cap,
-            map_seed=self.map_seed,
         )
 
 
 @dataclass
 class SearchOutcome:
+    """A sweep's result: its first refutation, rendered and labelled, and
+    the refuting SemistarContext (space claim) or MapInstance (map claim),
+    on which `evaluate_claim` or `reevaluate_witness` reproduces it."""
+
     claim_id: str
     status: str                  # REFUTED | EXHAUSTED
     witness: Optional[Verdict]
     visited: int
     evaluated: int
     refutations: int
-    witness_instance: object = None   # the refuting GammaSpace / MapInstance
+    witness_instance: object = None
 
     def to_dict(self) -> dict:
         return {
@@ -975,7 +980,7 @@ def _replayable(stream: Iterator) -> Callable[[], Iterator]:
     return replay
 
 
-def _map_instances(config: SearchConfig, opt: EvalOptions) -> Iterator[MapInstance]:
+def _map_instances(config: SearchConfig) -> Iterator[MapInstance]:
     """Every enumerated space paired with every one, each pair under each
     swept point map. Contexts and point maps are built once and shared, so
     their cached tables fill once per search."""
@@ -985,35 +990,20 @@ def _map_instances(config: SearchConfig, opt: EvalOptions) -> Iterator[MapInstan
         for ctx_y in contexts():
             pair = (ctx_x.universe, ctx_y.universe)
             if pair not in point_maps:
-                point_maps[pair] = _point_maps(*pair, opt)
+                point_maps[pair] = _point_maps(*pair)
             for pm in point_maps[pair]:
                 yield MapInstance(ctx_x, ctx_y, pm)
 
 
-def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) -> SearchOutcome:
-    """Stream enumerated instances in canonical order and hunt for a refutation.
-
-    Hypotheses named in `config.drop` are not enforced, which turns necessity
-    examples into reproducible searches. Returns the first refuted verdict,
-    or an exhausted outcome with full accounting. Only the first refutation
-    is kept, so only it is labelled and has its witness rendered.
-    Worked-example claims are bound to their fixture and cannot be searched.
-    """
-    claim = get_claim(claim_id)
-    if claim.fixture is not None:
-        raise ShapeMismatch(
-            f"claim {claim.id} checks fixture {claim.fixture} and cannot be searched"
-        )
-    config = config or SearchConfig()
-    opt = config.options()
+def _sweep_instances(claim: Claim, instances: Iterable, opt: EvalOptions,
+                     stop_at_first: bool) -> SearchOutcome:
+    """Evaluate `claim` on each instance in order, counting the instances
+    visited, evaluated (hypotheses met) and refuted. Verdicts are made
+    unlabelled; only the first refutation is kept, so only it is labelled
+    and has its witness rendered."""
     visited = evaluated = refutations = 0
     first: Optional[Verdict] = None
     first_instance = None
-
-    if claim.kind == "space":
-        instances = _context_stream(config)
-    else:
-        instances = _map_instances(config, opt)
     for instance in instances:
         visited += 1
         verdict = evaluate_claim(claim, instance, opt, label="")
@@ -1026,19 +1016,36 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
                 verdict.instance = instance.describe()
                 binding = tuple(verdict.witness["binding"])
                 verdict.witness = _render_binding(claim, instance, opt, binding)
-                if claim.kind == "space":
-                    first_instance = instance.space
-                else:
+                if claim.kind == "map":
                     verdict.witness["assign"] = instance.map.as_labels()
-                    first_instance = instance
-                first = verdict
-            if config.stop_at_first:
+                first, first_instance = verdict, instance
+            if stop_at_first:
                 break
-
     status = REFUTED if first is not None else "EXHAUSTED"
     return SearchOutcome(
         claim.id, status, first, visited, evaluated, refutations, first_instance
     )
+
+
+def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) -> SearchOutcome:
+    """Stream enumerated instances in canonical order and hunt for a refutation.
+
+    Hypotheses named in `config.drop` are not enforced, which turns necessity
+    examples into reproducible searches. Returns the first refuted verdict,
+    or an exhausted outcome with full accounting.
+    Worked-example claims are bound to their fixture and cannot be searched.
+    """
+    claim = get_claim(claim_id)
+    if claim.fixture is not None:
+        raise ShapeMismatch(
+            f"claim {claim.id} checks fixture {claim.fixture} and cannot be searched"
+        )
+    config = config or SearchConfig()
+    if claim.kind == "space":
+        instances = _context_stream(config)
+    else:
+        instances = _map_instances(config)
+    return _sweep_instances(claim, instances, config.options(), config.stop_at_first)
 
 
 # --- the audit -------------------------------------------------------------------
@@ -1050,6 +1057,9 @@ STRUCTURAL_IDS = (
 )
 
 _T320_MODES = (("regular",), ("open",), ("regular", "open"))
+
+# the structural sweeps cover every topology on 1..SWEEP_MAX_N points
+SWEEP_MAX_N = 3
 
 
 @dataclass
@@ -1140,40 +1150,46 @@ def _structural_sweeps(max_n: int) -> list:
         for topology in enumerate_topologies(n):
             for kind in BUILTIN_KINDS:
                 spaces.append(GammaSpace(topology, gamma_builtin(kind, topology)))
+    # one context per (space, closure), shared by every structural claim
+    contexts = {
+        closure_variant: [SemistarContext(space, closure_variant) for space in spaces]
+        for closure_variant in CLOSURE_VARIANTS
+    }
     rows = []
     for cid in STRUCTURAL_IDS:
         claim = get_claim(cid)
         for closure_variant in CLOSURE_VARIANTS:
-            opt = EvalOptions(closure_variant=closure_variant)
-            refuted = 0
-            first = None
-            for space in spaces:
-                verdict = evaluate_claim(claim, space, opt)
-                if verdict.status == REFUTED:
-                    refuted += 1
-                    first = first or verdict.to_dict()
+            outcome = _sweep_instances(claim, contexts[closure_variant], EvalOptions(),
+                                       stop_at_first=False)
             rows.append({
                 "claim": cid,
                 "closure": closure_variant,
                 "universes": f"1..{max_n}",
                 "operations": "builtins",
-                "instances": len(spaces),
-                "refuted": refuted,
-                "first_witness": first,
+                "instances": outcome.visited,
+                "refuted": outcome.refutations,
+                "first_witness": outcome.witness and outcome.witness.to_dict(),
             })
     return rows
 
 
-def audit_paper(sweep_max_n: int = 3, map_cap: int = 27, map_seed: int = 0) -> AuditReport:
+def audit_paper() -> AuditReport:
     """Replay the whole registry against the fixture catalog.
 
-    Every claim runs under both closure variants; claims sensitive to the
-    semi-regular reading or the interior reading additionally run under both
-    of those; the triple-boundary claim runs under three hypothesis modes.
-    Every refuted witness is re-evaluated before it is reported. The report
-    is fully deterministic.
+    Every claim runs under both closure variants, on one context per
+    (fixture, closure) shared by every claim; a map claim sweeps the point
+    maps from that context to itself. Claims sensitive to the semi-regular
+    reading or the interior reading additionally run under both of those;
+    the triple-boundary claim runs under three hypothesis modes. Every
+    refuted witness is re-evaluated on the instance that produced it before
+    it is reported. The report is fully deterministic.
     """
     catalog = fixture_catalog()
+    contexts = {
+        (fname, closure_variant): SemistarContext(catalog[fname], closure_variant)
+        for fname in FIXTURE_ORDER
+        for closure_variant in CLOSURE_VARIANTS
+    }
     entries = []
     for claim in _REGISTRY:
         fixture_names = (claim.fixture,) if claim.fixture else FIXTURE_ORDER
@@ -1181,31 +1197,24 @@ def audit_paper(sweep_max_n: int = 3, map_cap: int = 27, map_seed: int = 0) -> A
         readings = INTERIOR_READINGS if claim.uses_interior_reading else ("lattice",)
         modes = _T320_MODES if claim.id == "T3.20" else (None,)
         for fname in fixture_names:
-            space = catalog[fname]
             for closure_variant in CLOSURE_VARIANTS:
+                ctx = contexts[fname, closure_variant]
+                if claim.kind == "space":
+                    instance, label = ctx, fname
+                else:
+                    instance, label = (ctx, ctx), f"{fname}->{fname}"
                 for sr in sr_variants:
                     for reading in readings:
                         for mode in modes:
                             opt = EvalOptions(
-                                closure_variant=closure_variant,
                                 semi_regular_variant=sr,
                                 interior_reading=reading,
                                 require=mode,
-                                map_cap=map_cap,
-                                map_seed=map_seed,
                             )
-                            if claim.kind == "space":
-                                verdict = evaluate_claim(claim, space, opt, label=fname)
-                                recheck_instance = space
-                            else:
-                                verdict = evaluate_claim(
-                                    claim, (space, space), opt,
-                                    label=f"{fname}->{fname}",
-                                )
-                                recheck_instance = (space, space)
+                            verdict = evaluate_claim(claim, instance, opt, label=label)
                             if verdict.status == REFUTED:
                                 reproduced = reevaluate_witness(
-                                    claim, recheck_instance, verdict.witness, opt
+                                    claim, instance, verdict.witness, opt
                                 )
                                 verdict.witness["reproduced"] = reproduced
                             entries.append(verdict.to_dict())
@@ -1217,6 +1226,6 @@ def audit_paper(sweep_max_n: int = 3, map_cap: int = 27, map_seed: int = 0) -> A
     return AuditReport(
         fixtures=_fixture_meta(),
         entries=entries,
-        sweeps=_structural_sweeps(sweep_max_n),
+        sweeps=_structural_sweeps(SWEEP_MAX_N),
         errata=errata,
     )

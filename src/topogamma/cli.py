@@ -25,7 +25,7 @@ from .claims import (
 )
 from .core import enumerate_topologies
 from .errors import EngineError
-from .gamma import CLOSURE_VARIANTS, GammaSpace
+from .gamma import CLOSURE_VARIANTS
 from .jsonio import (
     family_to_labels,
     load_bundle,
@@ -33,7 +33,6 @@ from .jsonio import (
     set_to_labels,
     topologies_to_json,
 )
-from .maps import MapInstance
 from .ops import OPERATION_DOMAINS
 from .semistar import (
     SemistarContext,
@@ -122,10 +121,7 @@ def _fmt_family(universe, family) -> str:
 
 
 def _cmd_show(args) -> int:
-    bundle = load_bundle(args.space, args.op, closure_variant=args.closure)
-    if isinstance(bundle, MapInstance):
-        raise EngineError("show works on a single space")
-    ctx = SemistarContext(bundle, args.closure)
+    ctx = load_bundle(args.space, args.op, closure_variant=args.closure)
     universe = ctx.universe
     what = args.what
     if what in _POINTWISE_WHAT:
@@ -143,13 +139,13 @@ def _cmd_show(args) -> int:
         _emit(payload, args.json, universe.format_set(value))
         return 0
     if what == "tau-gamma":
-        family = bundle.tau_gamma
+        family = ctx.space.tau_gamma
     elif what == "so":
         family = ctx.so_family
     elif what == "sc":
         family = ctx.sc_family
     else:  # classify
-        cls = bundle.classification
+        cls = ctx.space.classification
         payload = {
             "what": "classify",
             "regular": cls.regular,
@@ -176,7 +172,6 @@ def _cmd_show(args) -> int:
 def _cmd_check(args) -> int:
     claim = get_claim(args.claim)
     options = EvalOptions(
-        closure_variant=args.closure,
         semi_regular_variant=args.sr,
         interior_reading=args.interior,
         drop=frozenset(args.drop),
@@ -189,10 +184,10 @@ def _cmd_check(args) -> int:
         codomain_operation_path=args.codomain_op,
         closure_variant=args.closure,
     )
-    if claim.kind == "map" and isinstance(bundle, GammaSpace):
-        if args.codomain is None:
-            print(f"claim {claim.id} needs --codomain (and usually --map)", file=sys.stderr)
-            return 2
+    # without a map and a codomain the bundle is the domain's context alone
+    if claim.kind == "map" and isinstance(bundle, SemistarContext):
+        print(f"claim {claim.id} needs --codomain (and usually --map)", file=sys.stderr)
+        return 2
     verdict = evaluate_claim(claim, bundle, options)
     payload = verdict.to_dict()
     text = f"{verdict.claim_id}: {verdict.status}"

@@ -170,14 +170,6 @@ class Topology:
     def full(self) -> Mask:
         return self.universe.full
 
-    def is_open(self, mask: Mask) -> bool:
-        self.universe.check(mask)
-        return mask in self.opens
-
-    @property
-    def closeds(self) -> tuple[Mask, ...]:
-        return canonical_family(self.full ^ o for o in self.opens)
-
     # per-topology tables, cached in the instance dict: equality and hashing
     # stay on the fields
     @cached_property

@@ -226,6 +226,16 @@ def topologies_to_json(n: int, topologies) -> str:
     )
 
 
+def _load_context(space_path: str, operation_path: Optional[str],
+                  closure_variant: str) -> SemistarContext:
+    topology, embedded = load_space(space_path)
+    if operation_path is not None:
+        operation = load_operation(operation_path, topology)
+    else:
+        operation = embedded or gamma_builtin("identity", topology)
+    return SemistarContext(GammaSpace(topology, operation), closure_variant)
+
+
 def load_bundle(
     space_path: str,
     operation_path: Optional[str] = None,
@@ -236,32 +246,20 @@ def load_bundle(
 ):
     """Assemble a fully validated instance from input files.
 
-    Returns a GammaSpace when no map is requested, otherwise a MapInstance.
-    The operation defaults to identity; an explicit operation file overrides
-    an operation embedded in the space file.
+    Returns the space's SemistarContext when no map is requested, otherwise
+    a MapInstance between the two spaces' contexts; every context takes
+    `closure_variant`. A space's operation defaults to identity; an
+    explicit operation file overrides an operation embedded in the space
+    file.
     """
-    topology, embedded = load_space(space_path)
-    if operation_path is not None:
-        operation = load_operation(operation_path, topology)
-    else:
-        operation = embedded or gamma_builtin("identity", topology)
-    space = GammaSpace(topology, operation)
+    domain = _load_context(space_path, operation_path, closure_variant)
     if map_path is None and codomain_path is None:
-        return space
+        return domain
     if map_path is None or codomain_path is None:
         raise SchemaError(
             map_path or codomain_path or space_path,
             "a map instance needs both a map file and a codomain space file",
         )
-    cod_topology, cod_embedded = load_space(codomain_path)
-    if codomain_operation_path is not None:
-        cod_operation = load_operation(codomain_operation_path, cod_topology)
-    else:
-        cod_operation = cod_embedded or gamma_builtin("identity", cod_topology)
-    codomain = GammaSpace(cod_topology, cod_operation)
-    point_map = load_map(map_path, topology.universe, cod_topology.universe)
-    return MapInstance(
-        SemistarContext(space, closure_variant),
-        SemistarContext(codomain, closure_variant),
-        point_map,
-    )
+    codomain = _load_context(codomain_path, codomain_operation_path, closure_variant)
+    point_map = load_map(map_path, domain.universe, codomain.universe)
+    return MapInstance(domain, codomain, point_map)

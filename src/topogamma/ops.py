@@ -22,21 +22,11 @@ OPERATION_DOMAINS = ("opens", "semi-opens")
 
 
 @dataclass(frozen=True)
-class Expansivity:
-    """On which domains the operation satisfies A fits inside image(A)."""
-
-    on_opens: bool
-    on_semi_opens: bool
-    on_all_subsets: bool
-
-
-@dataclass(frozen=True)
 class GammaOperation:
     """A total subset-to-subset table, expansive on the open sets."""
 
     table: tuple[Mask, ...]
     origin: str
-    expansive_on: Expansivity
 
     def __call__(self, mask: Mask) -> Mask:
         return self.table[mask]
@@ -109,20 +99,11 @@ class OperationClass:
         return self._has_inner_nbds(semi, semi)
 
 
-def _expansivity(topology: Topology, table: tuple[Mask, ...]) -> Expansivity:
-    semi = topology.semi_opens
-    return Expansivity(
-        on_opens=all(o & ~table[o] == 0 for o in topology.opens),
-        on_semi_opens=all(s & ~table[s] == 0 for s in semi),
-        on_all_subsets=all(m & ~table[m] == 0 for m in range(topology.full + 1)),
-    )
-
-
 def _finish(topology: Topology, table: list[Mask], origin: str) -> GammaOperation:
     for v in topology.opens:
         if v & ~table[v]:
             raise NotExpansiveOnOpens(v)
-    return GammaOperation(tuple(table), origin, _expansivity(topology, tuple(table)))
+    return GammaOperation(tuple(table), origin)
 
 
 def gamma_builtin(kind: str, topology: Topology) -> GammaOperation:

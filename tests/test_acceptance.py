@@ -199,9 +199,7 @@ def test_criterion_7_map_suite():
         for cid in ("L4.4", "P4.11", "L4.12"):
             for variant in VARIANTS:
                 for space in spaces:
-                    verdict = evaluate_claim(
-                        cid, space, EvalOptions(closure_variant=variant)
-                    )
+                    verdict = evaluate_claim(cid, SemistarContext(space, variant))
                     assert verdict.status == CONFIRMED, (cid, verdict.to_dict())
 
     _report(7, "map suite", body)
@@ -225,12 +223,11 @@ def test_criterion_8_witness_soundness():
                 }
                 op = gamma_from_table(topology, entries)
             space = GammaSpace(topology, op)
-            options = EvalOptions(
-                closure_variant=rng.choice(VARIANTS),
-                semi_regular_variant=rng.choice(("cap", "cup")),
-            )
+            # the closure is drawn before the reading, as it always was
+            variant = rng.choice(VARIANTS)
+            options = EvalOptions(semi_regular_variant=rng.choice(("cap", "cup")))
             if claim.kind == "space":
-                instance = space
+                instance = SemistarContext(space, variant)
             else:
                 cod_topology = rng.choice(pool)
                 codomain = GammaSpace(
@@ -241,8 +238,8 @@ def test_criterion_8_witness_soundness():
                     rng.randrange(size_y) for _ in range(topology.universe.size)
                 )
                 instance = MapInstance(
-                    SemistarContext(space, options.closure_variant),
-                    SemistarContext(codomain, options.closure_variant),
+                    SemistarContext(space, variant),
+                    SemistarContext(codomain, variant),
                     PointMap(topology.universe, cod_topology.universe, assignment),
                 )
             try:

@@ -117,19 +117,19 @@ class TestBoundary:
 
 class TestSpaceValidation:
     def test_rejects_short_table(self, fid):
-        from topogamma.ops import Expansivity, GammaOperation
+        from topogamma.ops import GammaOperation
 
-        bad = GammaOperation((0, 1), "table", Expansivity(True, True, True))
+        bad = GammaOperation((0, 1), "table")
         with pytest.raises(ValueError):
             GammaSpace(fid.topology, bad)
 
-    def test_checks_the_table_not_its_flag(self):
-        # the flag claims expansive on opens, but the table sends {a} to {}
+    def test_checks_the_table(self):
+        # an operation built around the constructors: the table sends {a} to {}
         from topogamma import make_topology
-        from topogamma.ops import Expansivity, GammaOperation
+        from topogamma.ops import GammaOperation
 
         topology = make_topology(default_universe(2), [0, A, AB])
-        lie = GammaOperation((0, 0, 2, 3), "lie", Expansivity(True, True, True))
+        lie = GammaOperation((0, 0, 2, 3), "lie")
         with pytest.raises(ValueError, match="expansive"):
             GammaSpace(topology, lie)
 

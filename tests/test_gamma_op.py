@@ -23,7 +23,6 @@ class TestBuiltins:
     def test_identity_expansive_everywhere(self):
         g = gamma_builtin("identity", tau1())
         assert g.table == tuple(range(8))
-        assert g.expansive_on.on_all_subsets
 
     def test_closure_on_tau2(self):
         g = gamma_builtin("closure", tau2())
@@ -32,9 +31,9 @@ class TestBuiltins:
 
     def test_interior_closure_on_tau3(self):
         g = gamma_builtin("interior-closure", tau3())
-        assert g(AB) == A  # shrinks {a,b}, so not expansive off the opens
-        assert g.expansive_on.on_opens
-        assert not g.expansive_on.on_all_subsets
+        # every open set fits in its image, but {a,b} shrinks to {a}
+        assert all(v & ~g(v) == 0 for v in tau3().opens)
+        assert g(AB) == A
         assert g.table == tuple(
             interior(tau3(), closure(tau3(), m)) for m in range(8)
         )

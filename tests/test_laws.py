@@ -2,15 +2,19 @@
 import pytest
 
 from topogamma import (
+    GammaSpace,
     SemistarContext,
     ShapeMismatch,
     UnknownClaim,
     audit_paper,
+    default_universe,
     enumerate_operations,
     enumerate_topologies,
     evaluate_claim,
+    gamma_builtin,
     get_claim,
     list_claims,
+    make_topology,
     reevaluate_witness,
     search_counterexample,
 )
@@ -56,7 +60,7 @@ class TestRegistry:
 class TestEvaluate:
     def test_duality_confirmed_on_identity(self, fid):
         for variant in ("pointwise", "lattice"):
-            v = evaluate_claim("T3.14", fid, EvalOptions(closure_variant=variant))
+            v = evaluate_claim("T3.14", SemistarContext(fid, variant))
             assert v.status == CONFIRMED
 
     def test_t324_dropped_on_f5(self, f5):
@@ -176,12 +180,14 @@ class TestMapClaims:
         inst = MapInstance(ctx, ctx, PointMap(U3, U3, (0, 0, 0)))
         assert evaluate_claim("T4.13", inst).status == VACUOUS
 
-    def test_map_sampling_is_deterministic(self, fid):
-        opt = EvalOptions(map_cap=5, map_seed=11)
-        first = evaluate_claim("T4.5", (fid, fid), opt)
-        second = evaluate_claim("T4.5", (fid, fid), opt)
+    def test_map_sampling_is_deterministic(self):
+        # 4^4 = 256 point maps on the 4-point discrete space, past MAP_CAP
+        t = make_topology(default_universe(4), range(16))
+        space = GammaSpace(t, gamma_builtin("identity", t))
+        first = evaluate_claim("T4.5", (space, space))
+        second = evaluate_claim("T4.5", (space, space))
         assert first.to_dict() == second.to_dict()
-        assert "sampled(5 of 27" in first.variant["maps"]
+        assert "sampled(27 of 256, seed=0)" in first.variant["maps"]
 
 
 class TestSearch:
@@ -283,3 +289,37 @@ class TestAudit:
             if e["claim"] == "T3.20"
         }
         assert modes == {"regular", "open", "regular+open"}
+
+
+def test_structural_sweeps_match_a_plain_loop(monkeypatch):
+    # T3.13 and T3.27.2 refute on some builtin spaces, so the first witness
+    # and its slots are compared too, which the all-clean golden never does
+    from topogamma import claims
+    from topogamma.gamma import CLOSURE_VARIANTS
+    from topogamma.ops import BUILTIN_KINDS
+
+    ids = ("T3.14", "T3.13", "T3.27.2")
+    monkeypatch.setattr(claims, "STRUCTURAL_IDS", ids)
+    spaces = [
+        GammaSpace(topology, gamma_builtin(kind, topology))
+        for n in (1, 2, 3)
+        for topology in enumerate_topologies(n)
+        for kind in BUILTIN_KINDS
+    ]
+    expected = []
+    for cid in ids:
+        for closure in CLOSURE_VARIANTS:
+            verdicts = [evaluate_claim(cid, SemistarContext(space, closure)) for space in spaces]
+            refuted = [v.to_dict() for v in verdicts if v.status == REFUTED]
+            expected.append({
+                "claim": cid,
+                "closure": closure,
+                "universes": "1..3",
+                "operations": "builtins",
+                "instances": 102,
+                "refuted": len(refuted),
+                "first_witness": refuted[0] if refuted else None,
+            })
+    assert claims._structural_sweeps(3) == expected
+    assert [row["refuted"] for row in expected] == [0, 0, 6, 6, 84, 84]
+    assert expected[2]["first_witness"]["witness"]["slots"]

@@ -178,7 +178,7 @@ def test_predicates_match_reference(max_n, budget, instances, closure):
     t47 = get_claim("T4.7")
     outcomes = set()
     visited = 0
-    for inst in _map_instances(config, opt):
+    for inst in _map_instances(config):
         visited += 1
         ref = RefMapEnv(inst)
         label = inst.describe
@@ -210,7 +210,7 @@ def test_unlabelled_refutation_carries_only_its_binding():
     config = SearchConfig(max_n=2, op_budget=3)
     opt = config.options()
     claim = get_claim("T4.9")
-    for inst in _map_instances(config, opt):
+    for inst in _map_instances(config):
         verdict = evaluate_claim(claim, inst, opt, label="")
         if verdict.status == REFUTED:
             break
@@ -243,7 +243,7 @@ def test_each_whole_map_flag_is_decided_at_most_once_per_instance(monkeypatch):
     opt = config.options()
     claims = [c for c in list_claims() if c.kind == "map"]
     decided = dict.fromkeys(flags, 0)
-    for inst in _map_instances(config, opt):
+    for inst in _map_instances(config):
         for claim in claims:
             calls.clear()
             evaluate_claim(claim, inst, opt, label="")

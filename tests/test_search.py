@@ -49,11 +49,11 @@ def reference_map_search(claim_id: str, config: SearchConfig) -> dict:
 
     def instances():
         for domain_space in spaces():
-            ctx_x = SemistarContext(domain_space, opt.closure_variant)
+            ctx_x = SemistarContext(domain_space, config.closure_variant)
             for codomain_space in spaces():
-                ctx_y = SemistarContext(codomain_space, opt.closure_variant)
+                ctx_y = SemistarContext(codomain_space, config.closure_variant)
                 size_x, size_y = ctx_x.universe.size, ctx_y.universe.size
-                for idx in _assignment_indices(size_y**size_x, opt):
+                for idx in _assignment_indices(size_y**size_x):
                     pm = PointMap(ctx_x.universe, ctx_y.universe,
                                   _assignment_of(idx, size_x, size_y))
                     yield MapInstance(ctx_x, ctx_y, pm)
@@ -110,16 +110,20 @@ class TestMapSearchMatchesReference:
         assert outcome.witness.witness["assign"] == outcome.witness_instance.map.as_labels()
 
 
-@pytest.mark.parametrize("claim_id, drop", [
-    ("T3.24", frozenset({"semi-regular"})),
-    ("T3.13", frozenset()),
+@pytest.mark.parametrize("claim_id, drop, closure", [
+    ("T3.24", frozenset({"semi-regular"}), "pointwise"),
+    ("T3.13", frozenset(), "pointwise"),
+    ("T3.13", frozenset(), "lattice"),
 ])
-def test_space_search_witness_is_the_labelled_verdict(claim_id, drop):
+def test_space_search_witness_is_the_labelled_verdict(claim_id, drop, closure):
     # the search renders its first witness after the sweep; it must equal
-    # the verdict evaluate_claim renders for the same space
-    config = SearchConfig(max_n=3, op_budget=3, drop=drop)
+    # the verdict evaluate_claim renders for the same context, closure
+    # included
+    config = SearchConfig(max_n=3, op_budget=3, drop=drop, closure_variant=closure)
     outcome = search_counterexample(claim_id, config)
     assert outcome.status == REFUTED
+    assert isinstance(outcome.witness_instance, SemistarContext)
+    assert outcome.witness.variant["closure"] == closure
     expected = evaluate_claim(claim_id, outcome.witness_instance, config.options())
     assert expected.witness["slots"]
     assert outcome.witness.to_dict() == expected.to_dict()

@@ -238,7 +238,7 @@ def test_reference_covers_every_space_claim():
 def test_predicates_match_reference(closure):
     claims = [c for c in list_claims() if c.id in REFERENCE]
     options = [
-        EvalOptions(closure_variant=closure, interior_reading=reading, semi_regular_variant=sr)
+        EvalOptions(interior_reading=reading, semi_regular_variant=sr)
         for reading in ("lattice", "pointwise") for sr in ("cap", "cup")
     ]
     outcomes = set()
@@ -272,7 +272,7 @@ def test_sweeps_find_the_reference_first_failure(closure):
     # claim's own bindings on which the reference predicate fails
     claims = [c for c in list_claims() if c.id in REFERENCE]
     options = [
-        EvalOptions(closure_variant=closure, interior_reading=reading, semi_regular_variant=sr)
+        EvalOptions(interior_reading=reading, semi_regular_variant=sr)
         for reading in ("lattice", "pointwise") for sr in ("cap", "cup")
     ]
     failures = set()
@@ -387,7 +387,7 @@ def test_family_reuse_is_order_free(closure):
     # by other fresh claims in reverse order, against the memo-free sweep
     contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure)))
     assert len({ctx.so_family for ctx in contexts}) * 8 < len(contexts)
-    options = [EvalOptions(closure_variant=closure, interior_reading=reading, require=())
+    options = [EvalOptions(interior_reading=reading, require=())
                for reading in ("lattice", "pointwise")]
     cold = [_space_claim(*row) for row in _LAWS]
     first = _stream_verdicts(cold, contexts, options)
