@@ -6,7 +6,8 @@ the sha256 of every `enumerate --n k` listing, text and JSON (recorded
 before rendering moved to per-universe label tables), and the sha256 of
 small map-claim searches, text and JSON, under both closures (recorded
 while map claims still read their instance through a forwarding
-wrapper)."""
+wrapper), and the sha256 of small space-claim searches, text and JSON
+(recorded before the search stream shared tables between operations)."""
 import hashlib
 from pathlib import Path
 
@@ -67,6 +68,22 @@ MAP_SEARCH_DIGESTS = _digests("map_search.sha256")
 @pytest.mark.parametrize("command, digest", MAP_SEARCH_DIGESTS,
                          ids=[command for command, _ in MAP_SEARCH_DIGESTS])
 def test_map_search_matches_golden_digest(capsys, command, digest):
+    code = run(command.split())
+    out = capsys.readouterr().out
+    assert code == (1 if "REFUTED" in out else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every space law at --max-n 3 --budget 8 --no-stop under both closures,
+# plus the labelled witnesses of two dropped hypotheses, the pointwise
+# interior reading and the semi-open operation domain (recorded before
+# the stream shared tables between the operations of one topology)
+SPACE_SEARCH_DIGESTS = _digests("space_search.sha256")
+
+
+@pytest.mark.parametrize("command, digest", SPACE_SEARCH_DIGESTS,
+                         ids=[command for command, _ in SPACE_SEARCH_DIGESTS])
+def test_space_search_matches_golden_digest(capsys, command, digest):
     code = run(command.split())
     out = capsys.readouterr().out
     assert code == (1 if "REFUTED" in out else 0)
