@@ -42,7 +42,7 @@ from .fixtures import FIXTURE_NOTES, FIXTURE_ORDER, fixture_catalog
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .maps import MapInstance, PointMap
 from .ops import BUILTIN_KINDS, enumerate_operations, gamma_builtin
-from .semistar import SemistarContext, int_of_cl_closed, sandwich_closed
+from .semistar import SemistarContext, int_of_cl_closed, sandwich_closed, shared_contexts
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -957,8 +957,8 @@ class SearchOutcome:
 def _context_stream(config: SearchConfig) -> Iterator[SemistarContext]:
     for n in range(1, config.max_n + 1):
         for topology in enumerate_topologies(n):
-            for op in enumerate_operations(topology, config.domain, config.op_budget):
-                yield SemistarContext(GammaSpace(topology, op), config.closure_variant)
+            ops = enumerate_operations(topology, config.domain, config.op_budget)
+            yield from shared_contexts(topology, ops, config.closure_variant)
 
 
 def _replayable(stream: Iterator) -> Callable[[], Iterator]:

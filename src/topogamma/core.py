@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     MaskOutOfRange,
@@ -86,6 +86,11 @@ class Universe:
         """format_table[A] is A as a brace literal like {a,b}."""
         return tuple("{" + ",".join(names) + "}" for names in self.names_table)
 
+    @cached_property
+    def superset_bits(self) -> tuple[int, ...]:
+        """Entry A has bit B set for every superset B of A."""
+        return tuple(sum(1 << s for s in supersets(a, self.full)) for a in range(self.full + 1))
+
     def names_of(self, mask: Mask) -> tuple[str, ...]:
         self.check(mask)
         return self.names_table[mask]
@@ -109,25 +114,39 @@ def canonical_family(masks: Iterable[Mask]) -> tuple[Mask, ...]:
 
 def submasks(mask: Mask) -> Iterator[Mask]:
     """All subsets of `mask`, in ascending order."""
-    for s in range(mask + 1):
-        if s & mask == s:
-            yield s
+    # (s - mask) & mask is the next submask: the borrow skips bits outside
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
 
 
 def supersets(mask: Mask, full: Mask) -> Iterator[Mask]:
     """All supersets of `mask` inside `full`, in ascending order."""
-    for s in range(full + 1):
-        if s & mask == mask:
-            yield s
+    # (s + 1) | mask is the least superset of `mask` above s
+    s = mask
+    while s <= full:
+        yield s
+        s = (s + 1) | mask
 
 
-def join_of_subsets(a: Mask, family: Iterable[Mask]) -> Mask:
-    """Union of all family members contained in `a` (lattice interior)."""
-    out = 0
+def image_joins(family: tuple[Mask, ...], table: Sequence[Mask]) -> tuple[Mask, ...]:
+    """Per mask A, the union of the family members whose image fits in A.
+    Only the images are read: each member is put at its image, then pushed
+    up to the larger masks one point at a time."""
+    size = len(table)
+    out = [0] * size
     for m in family:
-        if m & ~a == 0:
-            out |= m
-    return out
+        out[table[m]] |= m
+    bit = 1
+    while bit < size:
+        for a in range(size):
+            if a & bit:
+                out[a] |= out[a ^ bit]
+        bit <<= 1
+    return tuple(out)
 
 
 def meet_of_supersets(a: Mask, family: Iterable[Mask], full: Mask) -> Mask:
@@ -146,7 +165,8 @@ def dual_table(table: tuple[Mask, ...]) -> tuple[Mask, ...]:
     """The De Morgan dual of a subset operator given as a table over the
     power set: A -> X - t(X - A)."""
     full = len(table) - 1
-    return tuple(full ^ table[full ^ a] for a in range(full + 1))
+    # entry X - A of a power-set table is its entry A read backwards
+    return tuple([full ^ t for t in reversed(table)])
 
 
 def interval_family(bottoms_with_tops: Iterable[tuple[Mask, Mask]]) -> tuple[Mask, ...]:
@@ -174,7 +194,8 @@ class Topology:
     # stay on the fields
     @cached_property
     def interior_table(self) -> tuple[Mask, ...]:
-        return tuple(join_of_subsets(a, self.opens) for a in range(self.full + 1))
+        # the opens are their own images under the identity
+        return image_joins(self.opens, range(self.full + 1))
 
     @cached_property
     def closure_table(self) -> tuple[Mask, ...]:

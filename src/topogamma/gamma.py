@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import Mask, Topology, dual_table, join_of_subsets
+from .core import Mask, Topology, dual_table, image_joins
 from .ops import GammaOperation, OperationClass
 
 CLOSURE_VARIANTS = ("pointwise", "lattice")
@@ -26,6 +26,15 @@ class GammaSpace:
     so concurrent lazy fills are idempotent and the instance is safe to
     share between threads.
     """
+
+    # what two operations on one topology share (semistar.shared_contexts):
+    # the images of the opens give the pointwise interior table, which gives
+    # the rest; the classification reads the whole operation table
+    SHARED_BY_IMAGES = ("int_pointwise_table",)
+    SHARED_BY_INTERIOR = ("tau_gamma", "tau_gamma_set", "gamma_closed_family",
+                          "cl_pointwise_table", "cl_lattice_table", "int_lattice_table",
+                          "pointwise_closed_family")
+    SHARED_BY_TABLE = ("classification",)
 
     def __init__(self, topology: Topology, gamma: GammaOperation):
         if len(gamma.table) != topology.full + 1:
@@ -74,9 +83,7 @@ class GammaSpace:
 
     @cached_property
     def int_lattice_table(self) -> tuple[Mask, ...]:
-        return tuple(
-            join_of_subsets(a, self.tau_gamma) for a in range(self.full + 1)
-        )
+        return image_joins(self.tau_gamma, range(self.full + 1))
 
     @cached_property
     def pointwise_closed_family(self) -> tuple[Mask, ...]:
@@ -86,19 +93,6 @@ class GammaSpace:
     @cached_property
     def classification(self) -> OperationClass:
         return OperationClass(self)
-
-
-def image_joins(family: tuple[Mask, ...], table: tuple[Mask, ...]) -> tuple[Mask, ...]:
-    """Per mask A, the union of the family members whose image fits in A."""
-    pairs = [(table[m], m) for m in family]
-    out = []
-    for a in range(len(table)):
-        joined = 0
-        for image, m in pairs:
-            if image & ~a == 0:
-                joined |= m
-        out.append(joined)
-    return tuple(out)
 
 
 def int_gamma(space: GammaSpace, mask: Mask) -> Mask:

@@ -102,9 +102,11 @@ class MapInstance:
         codomain_ctx: SemistarContext,
         point_map: PointMap,
     ):
-        if point_map.source != domain_ctx.universe:
+        # searches share universe objects, so `is` settles most instances
+        source, target = point_map.source, point_map.target
+        if source is not domain_ctx.universe and source != domain_ctx.universe:
             raise ValueError("map source universe does not match the domain context")
-        if point_map.target != codomain_ctx.universe:
+        if target is not codomain_ctx.universe and target != codomain_ctx.universe:
             raise ValueError("map target universe does not match the codomain context")
         self.domain_ctx = domain_ctx
         self.codomain_ctx = codomain_ctx

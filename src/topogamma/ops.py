@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .core import Mask, Topology, join_of_subsets, supersets
+from .core import Mask, Topology, image_joins, supersets
 from .errors import NotExpansiveOnOpens
 
 BUILTIN_KINDS = ("identity", "closure", "interior-closure")
@@ -52,21 +52,19 @@ class OperationClass:
 
     def _regular_over(self, family: tuple[Mask, ...]) -> bool:
         tab = self.table
+        up = self.space.universe.superset_bits
         for x in range(self.space.universe.size):
             # only the images of the neighborhoods matter, and a pair with
             # one image is dominated by its own neighborhood
             images = {tab[u] for u in family if u >> x & 1}
+            # a pair is dominated iff its meet lies in the images' up-set
+            above = 0
+            for w in images:
+                above |= up[w]
             for g, h in combinations(images, 2):
-                meet = g & h
-                if not any(w & ~meet == 0 for w in images):
+                if not above >> (g & h) & 1:
                     return False
         return True
-
-    def _has_inner_nbds(self, family: tuple[Mask, ...], inner: tuple[Mask, ...]) -> bool:
-        # each point of U has an inner member around it inside image(U)
-        # exactly when U fits in the join of the inner members inside image(U)
-        tab = self.table
-        return all(u & ~join_of_subsets(tab[u], inner) == 0 for u in family)
 
     @cached_property
     def regular(self) -> bool:
@@ -74,7 +72,10 @@ class OperationClass:
 
     @cached_property
     def open_op(self) -> bool:
-        return self._has_inner_nbds(self.space.topology.opens, self.space.tau_gamma)
+        # each point of U has a gamma-open set around it inside image(U)
+        # exactly when U fits in the lattice interior of image(U)
+        tab, interior = self.table, self.space.int_lattice_table
+        return all(u & ~interior[tab[u]] == 0 for u in self.space.topology.opens)
 
     @cached_property
     def monotone(self) -> bool:
@@ -95,8 +96,10 @@ class OperationClass:
 
     @cached_property
     def semi_open_op(self) -> bool:
-        semi = self.space.topology.semi_opens
-        return self._has_inner_nbds(semi, semi)
+        # the same test, with the join of the semi-opens inside image(U)
+        tab, semi = self.table, self.space.topology.semi_opens
+        interior = image_joins(semi, range(len(tab)))
+        return all(u & ~interior[tab[u]] == 0 for u in semi)
 
 
 def _finish(topology: Topology, table: list[Mask], origin: str) -> GammaOperation:
@@ -131,17 +134,12 @@ def gamma_from_table(
     if fill not in FILL_POLICIES:
         raise ValueError(f"unknown fill policy {fill!r}, expected one of {FILL_POLICIES}")
     universe = topology.universe
+    if fill == "identity":
+        table = list(range(topology.full + 1))
+    else:
+        table = list(topology.closure_table)
     for key, value in entries.items():
-        universe.check(key)
-        universe.check(value)
-    table = []
-    for m in range(topology.full + 1):
-        if m in entries:
-            table.append(entries[m])
-        elif fill == "identity":
-            table.append(m)
-        else:
-            table.append(topology.closure_table[m])
+        table[universe.check(key)] = universe.check(value)
     return _finish(topology, table, "table")
 
 

@@ -8,16 +8,24 @@ variants is the claims engine's job, never an operator's.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from operator import and_
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .core import Mask, dual_table, interval_family, join_of_subsets
-from .gamma import CLOSURE_VARIANTS, GammaSpace, image_joins
+from .core import Mask, Topology, dual_table, image_joins, interval_family
+from .gamma import CLOSURE_VARIANTS, GammaSpace
+from .ops import GammaOperation
 
 
 class SemistarContext:
     """A space plus a pinned closure variant, with cached derived families."""
+
+    # shared like GammaSpace's: for a fixed closure variant the interior
+    # table gives all but the pointwise semi-interior, which reads the table
+    SHARED_BY_INTERIOR = ("cl_table", "int_table", "bd_table", "so_family", "so_set",
+                          "sc_family", "sc_set", "sint_table", "scl_table", "sbd_table")
+    SHARED_BY_TABLE = ("sint_pointwise_table",)
 
     def __init__(self, space: GammaSpace, closure_variant: str = "pointwise"):
         if closure_variant not in CLOSURE_VARIANTS:
@@ -88,9 +96,7 @@ class SemistarContext:
 
     @cached_property
     def sint_table(self) -> tuple[Mask, ...]:
-        return tuple(
-            join_of_subsets(a, self.so_family) for a in range(self.full + 1)
-        )
+        return image_joins(self.so_family, range(self.full + 1))
 
     @cached_property
     def sint_pointwise_table(self) -> tuple[Mask, ...]:
@@ -98,6 +104,42 @@ class SemistarContext:
         # inside A
         joins = image_joins(self.space.topology.semi_opens, self.space.gamma.table)
         return tuple(a & j for a, j in enumerate(joins))
+
+
+# the (GammaSpace, SemistarContext) names an equal key of each kind shares
+_BY_TABLE = (GammaSpace.SHARED_BY_TABLE, SemistarContext.SHARED_BY_TABLE)
+_BY_INTERIOR = (GammaSpace.SHARED_BY_INTERIOR, SemistarContext.SHARED_BY_INTERIOR)
+
+
+def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
+                    closure_variant: str) -> Iterator[SemistarContext]:
+    """One context per operation on `topology`, in order. A context starts
+    with the declared values already filled on earlier ones with its
+    operation table or its pointwise interior table (equal images of the
+    opens give equal ones), and its own fills are collected when the next
+    is asked for. Nothing outlives the topology: memory stays bounded."""
+    by_images: dict = {}
+    tables: dict = defaultdict(lambda: ({}, {}))
+    interiors: dict = defaultdict(lambda: ({}, {}))
+    for op in operations:
+        space = GammaSpace(topology, op)
+        ctx = SemistarContext(space, closure_variant)
+        caches = (vars(space), vars(ctx))
+        images = tuple([op.table[v] for v in topology.opens])
+        if images in by_images:
+            caches[0]["int_pointwise_table"] = by_images[images]
+        else:
+            by_images[images] = space.int_pointwise_table
+        shares = ((tables[op.table], _BY_TABLE),
+                  (interiors[by_images[images]], _BY_INTERIOR))
+        for pool, _ in shares:
+            for cache, values in zip(caches, pool):
+                cache.update(values)
+        yield ctx
+        for pool, names in shares:
+            for cache, values, keep in zip(caches, pool, names):
+                for name in cache.keys() & keep:
+                    values[name] = cache[name]
 
 
 class ClosedChecks(NamedTuple):

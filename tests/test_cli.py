@@ -123,6 +123,36 @@ class TestCheck:
         assert code == 0
         assert "CONFIRMED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("closure", ["pointwise", "lattice"])
+    def test_t47_refutes_with_every_hypothesis_met(self, tmp_path, capsys, closure):
+        # the identity map on the discrete 3-point space, each side under
+        # gamma_F (V for V in F, X otherwise): F_X = {},{a},{b},{a,b},X and
+        # F_Y adds {a,c}; {b,c} is semi-open in X, its image is not in Y
+        discrete = {"points": ["a", "b", "c"],
+                    "opens": [[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"],
+                              ["b", "c"], ["a", "b", "c"]]}
+        whole = ["a", "b", "c"]
+        gamma_x = {"table": {"[c]": whole, "[a,c]": whole, "[b,c]": whole},
+                   "fill": "identity"}
+        gamma_y = {"table": {"[c]": whole, "[b,c]": whole}, "fill": "identity"}
+        paths = {}
+        for name, payload in (("space", discrete), ("op_x", gamma_x), ("op_y", gamma_y),
+                              ("map", IDENTITY_MAP)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        code = run([
+            "check", "--claim", "T4.7", "--space", str(paths["space"]),
+            "--op", str(paths["op_x"]), "--codomain", str(paths["space"]),
+            "--codomain-op", str(paths["op_y"]), "--map", str(paths["map"]),
+            "--closure", closure, "--json",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "REFUTED"
+        assert payload["variant"]["hypotheses"] == "open+semi-continuous+semi-open-map"
+        assert "unmet" not in payload["variant"]
+        assert payload["witness"]["slots"] == {"A": "{b,c}"}
+
     def test_map_claim_without_codomain(self, files, capsys):
         assert run(["check", "--claim", "T4.2", "--space", files["f5"]]) == 2
 

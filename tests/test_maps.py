@@ -160,10 +160,23 @@ class TestMapInstance:
         u2 = Universe(("p", "q"))
         t2 = make_topology(u2, [0, 3])
         other = GammaSpace(t2, gamma_builtin("identity", t2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target universe"):
             MapInstance(
                 SemistarContext(fid), SemistarContext(other), IDENTITY
             )
+        with pytest.raises(ValueError, match="source universe"):
+            MapInstance(
+                SemistarContext(other), SemistarContext(fid), IDENTITY
+            )
+
+    def test_equal_universes_need_not_be_the_same_object(self, fid):
+        from topogamma import Universe
+
+        copy = Universe(tuple(U3.labels))
+        assert copy == U3 and copy is not U3
+        pm = PointMap(copy, copy, (1, 1, 2))
+        ctx = SemistarContext(fid)
+        assert MapInstance(ctx, ctx, pm).map is pm
 
     def test_describe_mentions_assignment(self, fid):
         inst = _self_instance(fid, COLLAPSE)
