@@ -133,9 +133,8 @@ def supersets(mask: Mask, full: Mask) -> Iterator[Mask]:
 
 
 def image_joins(family: tuple[Mask, ...], table: Sequence[Mask]) -> tuple[Mask, ...]:
-    """Per mask A, the union of the family members whose image fits in A.
-    Only the images are read: each member is put at its image, then pushed
-    up to the larger masks one point at a time."""
+    """Per mask A, the union of the family members whose image fits in A:
+    each member is put at its image, then pushed up one point at a time."""
     size = len(table)
     out = [0] * size
     for m in family:

@@ -27,9 +27,8 @@ class GammaSpace:
     share between threads.
     """
 
-    # what two operations on one topology share (semistar.shared_contexts):
-    # the images of the opens give the pointwise interior table, which gives
-    # the rest; the classification reads the whole operation table
+    # shared by operations on one topology (semistar.shared_contexts): the
+    # images of the opens give the interior table, and that gives the rest
     SHARED_BY_IMAGES = ("int_pointwise_table",)
     SHARED_BY_INTERIOR = ("tau_gamma", "tau_gamma_set", "gamma_closed_family",
                           "cl_pointwise_table", "cl_lattice_table", "int_lattice_table",

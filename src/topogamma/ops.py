@@ -72,8 +72,7 @@ class OperationClass:
 
     @cached_property
     def open_op(self) -> bool:
-        # each point of U has a gamma-open set around it inside image(U)
-        # exactly when U fits in the lattice interior of image(U)
+        # the gamma-opens inside image(U) cover U: U fits in its lattice interior
         tab, interior = self.table, self.space.int_lattice_table
         return all(u & ~interior[tab[u]] == 0 for u in self.space.topology.opens)
 

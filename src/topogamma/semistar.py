@@ -21,8 +21,7 @@ from .ops import GammaOperation
 class SemistarContext:
     """A space plus a pinned closure variant, with cached derived families."""
 
-    # shared like GammaSpace's: for a fixed closure variant the interior
-    # table gives all but the pointwise semi-interior, which reads the table
+    # shared like GammaSpace's; the pointwise semi-interior reads the table
     SHARED_BY_INTERIOR = ("cl_table", "int_table", "bd_table", "so_family", "so_set",
                           "sc_family", "sc_set", "sint_table", "scl_table", "sbd_table")
     SHARED_BY_TABLE = ("sint_pointwise_table",)
@@ -108,16 +107,20 @@ class SemistarContext:
 
 # the (GammaSpace, SemistarContext) names an equal key of each kind shares
 _BY_TABLE = (GammaSpace.SHARED_BY_TABLE, SemistarContext.SHARED_BY_TABLE)
-_BY_INTERIOR = (GammaSpace.SHARED_BY_INTERIOR, SemistarContext.SHARED_BY_INTERIOR)
+_BY_INTERIOR = (GammaSpace.SHARED_BY_IMAGES + GammaSpace.SHARED_BY_INTERIOR,
+                SemistarContext.SHARED_BY_INTERIOR)
+
+
+def _collect(caches: tuple, pool: tuple, names: tuple) -> None:
+    for cache, values, keep in zip(caches, pool, names):
+        for name in cache.keys() & keep:
+            values[name] = cache[name]
 
 
 def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
                     closure_variant: str) -> Iterator[SemistarContext]:
-    """One context per operation on `topology`, in order. A context starts
-    with the declared values already filled on earlier ones with its
-    operation table or its pointwise interior table (equal images of the
-    opens give equal ones), and its own fills are collected when the next
-    is asked for. Nothing outlives the topology: memory stays bounded."""
+    """One context per operation on `topology`, in order, each starting with
+    the declared values filled on those with its table or interior table."""
     by_images: dict = {}
     tables: dict = defaultdict(lambda: ({}, {}))
     interiors: dict = defaultdict(lambda: ({}, {}))
@@ -126,20 +129,23 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
         ctx = SemistarContext(space, closure_variant)
         caches = (vars(space), vars(ctx))
         images = tuple([op.table[v] for v in topology.opens])
-        if images in by_images:
-            caches[0]["int_pointwise_table"] = by_images[images]
-        else:
-            by_images[images] = space.int_pointwise_table
-        shares = ((tables[op.table], _BY_TABLE),
-                  (interiors[by_images[images]], _BY_INTERIOR))
-        for pool, _ in shares:
+        interior = by_images.get(images)
+        if interior is None and interiors:
+            # other images may have given an interior table seen before
+            interior = space.int_pointwise_table
+        shared = [tables[op.table]]
+        if interior is not None:
+            shared.append(interiors[interior])
+        for pool in shared:
             for cache, values in zip(caches, pool):
                 cache.update(values)
         yield ctx
-        for pool, names in shares:
-            for cache, values, keep in zip(caches, pool, names):
-                for name in cache.keys() & keep:
-                    values[name] = cache[name]
+        _collect(caches, tables[op.table], _BY_TABLE)
+        # a context's fills are collected when the next one is asked for
+        interior = caches[0].get("int_pointwise_table")
+        if interior is not None:
+            by_images[images] = interior
+            _collect(caches, interiors[interior], _BY_INTERIOR)
 
 
 class ClosedChecks(NamedTuple):
