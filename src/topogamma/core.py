@@ -87,9 +87,13 @@ class Universe:
         return tuple("{" + ",".join(names) + "}" for names in self.names_table)
 
     @cached_property
+    def superset_table(self) -> tuple[tuple[Mask, ...], ...]:
+        return tuple(tuple(supersets(a, self.full)) for a in range(self.full + 1))
+
+    @cached_property
     def superset_bits(self) -> tuple[int, ...]:
         """Entry A has bit B set for every superset B of A."""
-        return tuple(sum(1 << s for s in supersets(a, self.full)) for a in range(self.full + 1))
+        return tuple(sum(1 << s for s in above) for above in self.superset_table)
 
     def names_of(self, mask: Mask) -> tuple[str, ...]:
         self.check(mask)
@@ -135,13 +139,12 @@ def supersets(mask: Mask, full: Mask) -> Iterator[Mask]:
 def image_joins(family: tuple[Mask, ...], table: Sequence[Mask]) -> tuple[Mask, ...]:
     """Per mask A, the union of the family members whose image fits in A:
     each member is put at its image, then pushed up one point at a time."""
-    size = len(table)
-    out = [0] * size
+    out = [0] * len(table)
     for m in family:
         out[table[m]] |= m
     bit = 1
-    while bit < size:
-        for a in range(size):
+    while bit < len(out):
+        for a in range(len(out)):
             if a & bit:
                 out[a] |= out[a ^ bit]
         bit <<= 1
@@ -185,7 +188,7 @@ class Topology:
     universe: Universe
     opens: tuple[Mask, ...]
 
-    @property
+    @cached_property
     def full(self) -> Mask:
         return self.universe.full
 

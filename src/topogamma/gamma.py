@@ -28,11 +28,10 @@ class GammaSpace:
     """
 
     # shared by operations on one topology (semistar.shared_contexts): the
-    # images of the opens give the interior table, and that gives the rest
-    SHARED_BY_IMAGES = ("int_pointwise_table",)
-    SHARED_BY_INTERIOR = ("tau_gamma", "tau_gamma_set", "gamma_closed_family",
-                          "cl_pointwise_table", "cl_lattice_table", "int_lattice_table",
-                          "pointwise_closed_family")
+    # images of the opens give the pointwise interior table, which gives the rest
+    SHARED_BY_INTERIOR = ("int_pointwise_table", "tau_gamma", "tau_gamma_set",
+                          "gamma_closed_family", "cl_pointwise_table", "cl_lattice_table",
+                          "int_lattice_table", "pointwise_closed_family")
     SHARED_BY_TABLE = ("classification",)
 
     def __init__(self, topology: Topology, gamma: GammaOperation):
@@ -60,7 +59,7 @@ class GammaSpace:
     @cached_property
     def tau_gamma(self) -> tuple[Mask, ...]:
         table = self.int_pointwise_table
-        return tuple(a for a in range(self.full + 1) if table[a] == a)
+        return tuple([a for a, b in enumerate(table) if a == b])
 
     @cached_property
     def tau_gamma_set(self) -> frozenset:

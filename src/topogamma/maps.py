@@ -103,10 +103,9 @@ class MapInstance:
         point_map: PointMap,
     ):
         # searches share universe objects, so `is` settles most instances
-        source, target = point_map.source, point_map.target
-        if source is not domain_ctx.universe and source != domain_ctx.universe:
+        if point_map.source is not domain_ctx.universe and point_map.source != domain_ctx.universe:
             raise ValueError("map source universe does not match the domain context")
-        if target is not codomain_ctx.universe and target != codomain_ctx.universe:
+        if point_map.target is not codomain_ctx.universe and point_map.target != codomain_ctx.universe:
             raise ValueError("map target universe does not match the codomain context")
         self.domain_ctx = domain_ctx
         self.codomain_ctx = codomain_ctx

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .core import Mask, Topology, image_joins, supersets
+from .core import Mask, Topology, image_joins
 from .errors import NotExpansiveOnOpens
 
 BUILTIN_KINDS = ("identity", "closure", "interior-closure")
@@ -174,7 +174,7 @@ def enumerate_operations(
             return
     # every open set is semi-open, so the semi-open domain holds the opens
     keys = topology.opens if domain == "opens" else topology.semi_opens
-    choice_lists = [tuple(supersets(k, topology.full)) for k in keys]
+    choice_lists = [topology.universe.superset_table[k] for k in keys]
     for combo in product(*choice_lists):
         yield gamma_from_table(topology, dict(zip(keys, combo)), fill="identity")
         emitted += 1

@@ -107,11 +107,10 @@ class SemistarContext:
 
 # the (GammaSpace, SemistarContext) names an equal key of each kind shares
 _BY_TABLE = (GammaSpace.SHARED_BY_TABLE, SemistarContext.SHARED_BY_TABLE)
-_BY_INTERIOR = (GammaSpace.SHARED_BY_IMAGES + GammaSpace.SHARED_BY_INTERIOR,
-                SemistarContext.SHARED_BY_INTERIOR)
+_BY_INTERIOR = (GammaSpace.SHARED_BY_INTERIOR, SemistarContext.SHARED_BY_INTERIOR)
 
 
-def _collect(caches: tuple, pool: tuple, names: tuple) -> None:
+def _share(caches: tuple, pool: tuple, names: tuple) -> None:
     for cache, values, keep in zip(caches, pool, names):
         for name in cache.keys() & keep:
             values[name] = cache[name]
@@ -132,20 +131,20 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
         interior = by_images.get(images)
         if interior is None and interiors:
             # other images may have given an interior table seen before
-            interior = space.int_pointwise_table
-        shared = [tables[op.table]]
-        if interior is not None:
-            shared.append(interiors[interior])
-        for pool in shared:
+            interior = by_images[images] = space.int_pointwise_table
+        table_pool = tables[op.table]
+        interior_pool = interiors[interior] if interior is not None else ({}, {})
+        for pool in (table_pool, interior_pool):
             for cache, values in zip(caches, pool):
                 cache.update(values)
         yield ctx
-        _collect(caches, tables[op.table], _BY_TABLE)
         # a context's fills are collected when the next one is asked for
-        interior = caches[0].get("int_pointwise_table")
+        _share(caches, table_pool, _BY_TABLE)
+        if interior is None and "int_pointwise_table" in caches[0]:
+            interior = by_images[images] = caches[0]["int_pointwise_table"]
+            interior_pool = interiors[interior]
         if interior is not None:
-            by_images[images] = interior
-            _collect(caches, interiors[interior], _BY_INTERIOR)
+            _share(caches, interior_pool, _BY_INTERIOR)
 
 
 class ClosedChecks(NamedTuple):

@@ -34,8 +34,7 @@ FLAGS = list(SHARED_WITH_CLASSIFICATION) + ["semi_regular_cup"]
 
 
 def test_every_cached_name_is_declared():
-    space_shared = (GammaSpace.SHARED_BY_TABLE + GammaSpace.SHARED_BY_IMAGES
-                    + GammaSpace.SHARED_BY_INTERIOR)
+    space_shared = GammaSpace.SHARED_BY_TABLE + GammaSpace.SHARED_BY_INTERIOR
     context_shared = SemistarContext.SHARED_BY_TABLE + SemistarContext.SHARED_BY_INTERIOR
     for cls, shared in ((GammaSpace, space_shared), (SemistarContext, context_shared),
                         (OperationClass, SHARED_WITH_CLASSIFICATION)):
