@@ -129,22 +129,17 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
         caches = (vars(space), vars(ctx))
         images = tuple([op.table[v] for v in topology.opens])
         interior = by_images.get(images)
-        if interior is None and interiors:
-            # other images may have given an interior table seen before
+        if interior is None:
+            # other images may give an interior table seen before
             interior = by_images[images] = space.int_pointwise_table
-        table_pool = tables[op.table]
-        interior_pool = interiors[interior] if interior is not None else ({}, {})
+        table_pool, interior_pool = tables[op.table], interiors[interior]
         for pool in (table_pool, interior_pool):
             for cache, values in zip(caches, pool):
                 cache.update(values)
         yield ctx
         # a context's fills are collected when the next one is asked for
         _share(caches, table_pool, _BY_TABLE)
-        if interior is None and "int_pointwise_table" in caches[0]:
-            interior = by_images[images] = caches[0]["int_pointwise_table"]
-            interior_pool = interiors[interior]
-        if interior is not None:
-            _share(caches, interior_pool, _BY_INTERIOR)
+        _share(caches, interior_pool, _BY_INTERIOR)
 
 
 class ClosedChecks(NamedTuple):
