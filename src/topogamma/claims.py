@@ -78,10 +78,13 @@ class EvalOptions:
     require: Optional[tuple] = None
 
     def __post_init__(self):
-        # hashable fields, so that options can key the gate cache
+        # hashable fields, so that options can key the gate cache; the hash
+        # is taken once, as every evaluation looks its options up there
         object.__setattr__(self, "drop", frozenset(self.drop))
         if self.require is not None:
             object.__setattr__(self, "require", tuple(self.require))
+        object.__setattr__(self, "_hash", hash(
+            (self.semi_regular_variant, self.interior_reading, self.drop, self.require)))
         if self.semi_regular_variant not in SEMI_REGULAR_VARIANTS:
             raise ValueError(f"unknown semi-regular variant {self.semi_regular_variant!r}")
         if self.interior_reading not in INTERIOR_READINGS:
@@ -93,6 +96,9 @@ class EvalOptions:
             for name in self.require:
                 if name not in KNOWN_HYPOTHESES:
                     raise ValueError(f"unknown hypothesis {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -254,9 +260,9 @@ def _dependency(name: str, reading: str) -> str:
 
 class _Term:
     """A space claim's statement: one expression over its slot names and the
-    vocabulary, compiled on first use into `holds(ctx, opt, binding)` and
-    `sweep(ctx, opt, bindings)`, the first binding the expression fails on
-    (or None)."""
+    vocabulary, compiled on first use into `sweep(ctx, opt, bindings)`, the
+    first binding the expression fails on (or None). Called as
+    `holds(ctx, opt, binding)`, it sweeps that one binding."""
 
     def __init__(self, cid: str, text: str, bindings):
         slots, self.binding_reads = _BINDINGS[bindings]
@@ -268,14 +274,14 @@ class _Term:
         self.memo: dict = {}
 
     def __getattr__(self, name: str):
-        # `reads`, `family_only`, `holds` and `sweep` are set by the compile
-        if name not in ("reads", "family_only", "holds", "sweep"):
+        # `reads`, `family_only` and `sweep` are set by the compile
+        if name not in ("reads", "family_only", "sweep"):
             raise AttributeError(name)
         self._compile()
         return vars(self)[name]
 
     def __call__(self, ctx, opt, binding) -> bool:
-        return self.holds(ctx, opt, binding)
+        return self.sweep(ctx, opt, (binding,)) is None
 
     def _compile(self) -> None:
         names = compile(self.text, self.cid, "eval").co_names
@@ -289,7 +295,6 @@ class _Term:
         )
         target = ", ".join(self.slots) + ("," if len(self.slots) == 1 else "")
         source = (
-            f"def holds(ctx, opt, b):\n{binds}    {target} = b\n    return {self.text}\n"
             f"def sweep(ctx, opt, bindings):\n{binds}    for {target} in bindings:\n"
             f"        if not ({self.text}):\n            return ({target})\n    return None\n"
         )
@@ -301,7 +306,7 @@ class _Term:
                          for name in reads | set(self.binding_reads))
             for reading in INTERIOR_READINGS
         }
-        self.holds, self.sweep = namespace["holds"], namespace["sweep"]
+        self.sweep = namespace["sweep"]
 
     def first_failure(self, ctx: SemistarContext, opt: EvalOptions, bindings) -> Optional[tuple]:
         """`sweep` over `bindings`; where the term and its bindings read only
@@ -798,13 +803,16 @@ def _assignment_of(index: int, size_x: int, size_y: int) -> tuple:
     return tuple((index // size_y**i) % size_y for i in range(size_x))
 
 
-def _point_maps(source, target) -> list:
-    """The maps a sweep visits from `source` to `target`, in sweep order."""
+@lru_cache(maxsize=None)
+def _point_maps(source, target) -> tuple:
+    """The maps a sweep visits from `source` to `target`, in sweep order: one
+    tuple per universe pair, shared by every sweep, so each map is built and
+    fills its tables once."""
     total = target.size**source.size
-    return [
+    return tuple(
         PointMap(source, target, _assignment_of(idx, source.size, target.size))
         for idx in _assignment_indices(total)
-    ]
+    )
 
 
 def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
@@ -982,16 +990,12 @@ def _replayable(stream: Iterator) -> Callable[[], Iterator]:
 
 def _map_instances(config: SearchConfig) -> Iterator[MapInstance]:
     """Every enumerated space paired with every one, each pair under each
-    swept point map. Contexts and point maps are built once and shared, so
-    their cached tables fill once per search."""
+    swept point map. Contexts are built once per search and point maps once
+    per process, and both are shared, so their cached tables fill once."""
     contexts = _replayable(_context_stream(config))
-    point_maps: dict = {}
     for ctx_x in contexts():
         for ctx_y in contexts():
-            pair = (ctx_x.universe, ctx_y.universe)
-            if pair not in point_maps:
-                point_maps[pair] = _point_maps(*pair)
-            for pm in point_maps[pair]:
+            for pm in _point_maps(ctx_x.universe, ctx_y.universe):
                 yield MapInstance(ctx_x, ctx_y, pm)
 
 

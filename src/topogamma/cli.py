@@ -233,13 +233,12 @@ def _cmd_search(args) -> int:
 
 def _cmd_audit(args) -> int:
     report = audit_paper()
+    # encoded once: --out and --json write the same text
+    encoded = report.to_json() if args.out or args.json else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    if args.json:
-        print(report.to_json(), end="")
-    else:
-        print(report.to_text(), end="")
+            fh.write(encoded)
+    print(encoded if args.json else report.to_text(), end="")
     return 0
 
 

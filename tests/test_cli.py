@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ GAMMA2_OP = {
 }
 
 IDENTITY_MAP = {"assign": {"a": "a", "b": "b", "c": "c"}}
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -254,6 +257,13 @@ class TestAuditCommand:
         run(["audit", "--out", str(a)])
         run(["audit", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_and_json_write_the_golden_report(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert run(["audit", "--out", str(out_path), "--json"]) == 0
+        golden = (GOLDEN / "audit.json").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
+        assert out_path.read_bytes() == golden
 
 
 class TestEnumerate:

@@ -181,3 +181,63 @@ class TestMapInstance:
     def test_describe_mentions_assignment(self, fid):
         inst = _self_instance(fid, COLLAPSE)
         assert "a->b" in inst.describe()
+
+
+class TestSweptPointMaps:
+    """A universe pair's swept point maps are built once per process and
+    shared by the audit, the map search and `evaluate_claim((X, Y))`."""
+
+    # the 27 of 4**4 assignments drawn with MAP_SEED, as sweeps record them
+    SAMPLED_4 = (
+        (2, 2, 0, 0), (0, 2, 1, 0), (3, 0, 2, 0), (3, 1, 3, 0), (2, 0, 0, 1),
+        (0, 2, 0, 1), (1, 3, 0, 1), (3, 2, 1, 1), (3, 1, 2, 1), (3, 2, 2, 1),
+        (2, 2, 3, 1), (0, 3, 3, 1), (1, 0, 0, 2), (2, 0, 0, 2), (1, 1, 1, 2),
+        (2, 3, 1, 2), (1, 0, 0, 3), (2, 0, 0, 3), (1, 1, 0, 3), (0, 2, 0, 3),
+        (0, 1, 1, 3), (3, 0, 2, 3), (0, 1, 2, 3), (0, 2, 2, 3), (2, 2, 2, 3),
+        (3, 2, 2, 3), (3, 1, 3, 3),
+    )
+
+    def test_equal_universes_share_one_tuple(self):
+        from topogamma import Universe
+        from topogamma.claims import _point_maps
+
+        first = _point_maps(Universe(("a", "b", "c")), Universe(("a", "b", "c")))
+        again = _point_maps(Universe(("a", "b", "c")), Universe(("a", "b", "c")))
+        assert again is first
+        # every map, point a's image varying fastest
+        assert [pm.assignment for pm in first] == [
+            (i, j, k) for k in range(3) for j in range(3) for i in range(3)
+        ]
+
+    def test_audit_builds_each_map_once(self, monkeypatch):
+        from topogamma.claims import _point_maps, audit_paper, get_claim
+
+        _point_maps.cache_clear()
+        built = []
+        post_init = PointMap.__post_init__
+
+        def counted(pm):
+            built.append(pm.assignment)
+            post_init(pm)
+
+        monkeypatch.setattr(PointMap, "__post_init__", counted)
+        report = audit_paper()
+        rechecked = sum(
+            1 for e in report.entries
+            if e["status"] == "REFUTED" and get_claim(e["claim"]).kind == "map"
+        )
+        # every fixture shares the universe (a, b, c): 27 swept maps, plus
+        # the map each refuted map witness is re-read from
+        assert rechecked == 18
+        assert len(built) == 27 + rechecked
+
+    def test_sampled_sweep_keeps_its_assignments(self):
+        from topogamma import GammaSpace, default_universe, gamma_builtin, make_topology
+        from topogamma.claims import _point_maps, evaluate_claim
+
+        u4 = default_universe(4)
+        discrete = make_topology(u4, range(16))
+        ctx = SemistarContext(GammaSpace(discrete, gamma_builtin("identity", discrete)))
+        assert tuple(pm.assignment for pm in _point_maps(u4, u4)) == self.SAMPLED_4
+        verdict = evaluate_claim("T4.5", (ctx, ctx))
+        assert verdict.variant["maps"].startswith("sampled(27 of 256, seed=0)")

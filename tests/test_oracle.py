@@ -12,6 +12,7 @@ from itertools import islice
 import pytest
 
 from topogamma import GammaSpace, SemistarContext, enumerate_topologies, gamma_builtin
+from topogamma.claims import CONFIRMED, EvalOptions, evaluate_claim, get_claim
 from topogamma.core import closure, interior, is_semi_open, semi_closure, semi_open_family
 from topogamma.ops import BUILTIN_KINDS, OPERATION_DOMAINS, enumerate_operations
 from topogamma.semistar import s_boundary, s_interior_pointwise
@@ -258,3 +259,26 @@ def test_semi_open_family_is_union_closed(variant):
         assert ctx.so_family[-1] == ctx.full, label
         assert all((a | b) in so for a in so for b in so), label
         assert all(sint[sint[a]] == sint[a] for a in range(ctx.full + 1)), label
+
+
+# README, "Derived facts": sint* is a kernel operator and scl* its dual
+# closure, so each law below is idempotence or monotonicity and holds with
+# its gate dropped (the T3.26 laws under the lattice interior reading)
+KERNEL_LAWS = (
+    ("P3.17b", "open"),
+    ("T3.26.1", "semi-regular"),
+    ("P3.28.1", "semi-regular"),
+    ("T3.26.2", "semi-regular"),
+    ("P3.28.2", "semi-regular"),
+)
+
+
+@pytest.mark.parametrize("variant", ["pointwise", "lattice"])
+def test_kernel_laws_hold_without_their_gate(variant):
+    contexts = [SemistarContext(space, variant) for space in CASES]
+    for cid, gate in KERNEL_LAWS:
+        assert get_claim(cid).hypotheses == (gate,)
+        opt = EvalOptions(drop=frozenset({gate}))
+        for ctx in contexts:
+            verdict = evaluate_claim(cid, ctx, opt, label="")
+            assert verdict.status == CONFIRMED, (cid, ctx.describe())
