@@ -77,17 +77,13 @@ from .semistar import (
     semi_regular_family,
     so_family,
 )
+from .registry import Claim, EvalOptions, Verdict, get_claim, list_claims
 from .claims import (
     AuditReport,
-    Claim,
-    EvalOptions,
     SearchConfig,
     SearchOutcome,
-    Verdict,
     audit_paper,
     evaluate_claim,
-    get_claim,
-    list_claims,
     reevaluate_witness,
     search_counterexample,
 )

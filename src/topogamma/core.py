@@ -9,8 +9,8 @@ package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -29,22 +29,66 @@ ENUMERATION_CAP = 5
 _DEFAULT_LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
-@dataclass(frozen=True)
-class Universe:
+class FrozenValue:
+    """Base of the immutable value types. A subclass names its fields in
+    `_fields` and sets each once, in `__init__`, with `object.__setattr__`
+    (`_set` sets them all in order). Two instances of one class are equal,
+    and hash alike, when their field values are. Any other assignment or
+    deletion of an attribute raises AttributeError. Cached tables
+    (`cached_property`) write the instance dict directly, so they still
+    fill, and they stay out of equality and hashing."""
+
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        # object.__setattr__ keeps the values inline in the instance, where
+        # attribute reads are fastest; writing `__dict__` would not
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the key is read in one call: the field values, or the bare value
+        # of a single field
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Universe(FrozenValue):
     """An ordered, labelled ground set of 1 to 8 points."""
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if not 1 <= len(self.labels) <= MAX_POINTS:
+    def __init__(self, labels: Iterable[str]):
+        # a tuple, so that equal label sequences give equal, hashable universes
+        labels = tuple(labels)
+        if not 1 <= len(labels) <= MAX_POINTS:
             raise UniverseTooLarge(
-                f"universe must have 1..{MAX_POINTS} points, got {len(self.labels)}"
+                f"universe must have 1..{MAX_POINTS} points, got {len(labels)}"
             )
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate point labels: {self.labels}")
-        for lab in self.labels:
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate point labels: {labels}")
+        for lab in labels:
             if not lab or not all(ch.isalnum() or ch == "_" for ch in lab):
                 raise ValueError(f"label {lab!r} must be non-empty alphanumeric")
+        self._set(labels)
 
     # cached in the instance dict: equality and hashing stay on `labels`
     @cached_property
@@ -181,12 +225,16 @@ def interval_family(bottoms_with_tops: Iterable[tuple[Mask, Mask]]) -> tuple[Mas
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(FrozenValue):
     """A validated open-set family. Construct through `make_topology`."""
 
-    universe: Universe
-    opens: tuple[Mask, ...]
+    _fields = ("universe", "opens")
+
+    def __init__(self, universe: Universe, opens: tuple[Mask, ...]):
+        # set one by one rather than through `_set`: enumeration builds one
+        # Topology per open-set family, and the loop costs a third more
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "opens", opens)
 
     @cached_property
     def full(self) -> Mask:

@@ -6,28 +6,25 @@ mixing domain-side and codomain-side operators are all expressible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .core import Mask, Universe
+from .core import FrozenValue, Mask, Universe
 from .semistar import SemistarContext
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(FrozenValue):
     """A total assignment of source points to target points."""
 
-    source: Universe
-    target: Universe
-    assignment: tuple[int, ...]
+    _fields = ("source", "target", "assignment")
 
-    def __post_init__(self):
-        if len(self.assignment) != self.source.size:
+    def __init__(self, source: Universe, target: Universe, assignment: tuple[int, ...]):
+        if len(assignment) != source.size:
             raise ValueError("assignment must cover every source point")
-        for t in self.assignment:
-            if not 0 <= t < self.target.size:
+        for t in assignment:
+            if not 0 <= t < target.size:
                 raise ValueError(f"assignment target index {t} out of range")
+        self._set(source, target, assignment)
 
     @property
     def bijective(self) -> bool:

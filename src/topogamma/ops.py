@@ -8,12 +8,11 @@ semi-open sets, so partial tables are completed with an explicit fill policy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .core import Mask, Topology, image_joins
+from .core import FrozenValue, Mask, Topology, image_joins
 from .errors import NotExpansiveOnOpens
 
 BUILTIN_KINDS = ("identity", "closure", "interior-closure")
@@ -21,12 +20,13 @@ FILL_POLICIES = ("identity", "closure")
 OPERATION_DOMAINS = ("opens", "semi-opens")
 
 
-@dataclass(frozen=True)
-class GammaOperation:
+class GammaOperation(FrozenValue):
     """A total subset-to-subset table, expansive on the open sets."""
 
-    table: tuple[Mask, ...]
-    origin: str
+    _fields = ("table", "origin")
+
+    def __init__(self, table: tuple[Mask, ...], origin: str):
+        self._set(table, origin)
 
     def __call__(self, mask: Mask) -> Mask:
         return self.table[mask]

@@ -214,13 +214,13 @@ class TestSweptPointMaps:
 
         _point_maps.cache_clear()
         built = []
-        post_init = PointMap.__post_init__
+        init = PointMap.__init__
 
-        def counted(pm):
-            built.append(pm.assignment)
-            post_init(pm)
+        def counted(pm, source, target, assignment):
+            built.append(assignment)
+            init(pm, source, target, assignment)
 
-        monkeypatch.setattr(PointMap, "__post_init__", counted)
+        monkeypatch.setattr(PointMap, "__init__", counted)
         report = audit_paper()
         rechecked = sum(
             1 for e in report.entries

@@ -12,19 +12,14 @@ import pytest
 
 from topogamma import GammaSpace, SemistarContext, enumerate_topologies, gamma_builtin
 from topogamma.claims import (
-    _BINDINGS,
-    _FAMILY,
-    _LAWS,
-    _VOCABULARY,
     EvalOptions,
     SearchConfig,
     _context_stream,
-    _dependency,
     _hypothesis_met,
-    _space_claim,
     evaluate_claim,
     list_claims,
 )
+from topogamma.registry import _BINDINGS, _FAMILY, _LAWS, _VOCABULARY, _dependency, _space_claim
 from topogamma.core import submasks, supersets
 from topogamma.ops import BUILTIN_KINDS
 

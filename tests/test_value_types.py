@@ -1,0 +1,99 @@
+"""The immutable value types: their fields refuse assignment, equal values
+compare and hash alike however they were given, and the constructors check
+every field they are given."""
+import pytest
+
+from topogamma import (
+    EvalOptions,
+    GammaOperation,
+    PointMap,
+    SearchConfig,
+    Topology,
+    Universe,
+    gamma_builtin,
+    get_claim,
+    make_topology,
+)
+from topogamma.claims import _point_maps
+
+U2 = Universe(("a", "b"))
+SIERPINSKI = make_topology(U2, (0, 1, 3))
+
+FROZEN = [
+    pytest.param(lambda: Universe(("a", "b")), "labels", id="Universe"),
+    pytest.param(lambda: make_topology(U2, (0, 1, 3)), "opens", id="Topology"),
+    pytest.param(lambda: gamma_builtin("identity", SIERPINSKI), "table", id="GammaOperation"),
+    pytest.param(lambda: PointMap(U2, U2, (1, 0)), "assignment", id="PointMap"),
+    pytest.param(lambda: EvalOptions(), "drop", id="EvalOptions"),
+    pytest.param(lambda: get_claim("T3.13"), "hypotheses", id="Claim"),
+    pytest.param(lambda: SearchConfig(), "max_n", id="SearchConfig"),
+]
+
+
+@pytest.mark.parametrize("make, field", FROZEN)
+def test_fields_refuse_assignment(make, field):
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+
+
+EQUAL_PAIRS = [
+    pytest.param(lambda: Universe(("a", "b")), lambda: Universe(["a", "b"]), id="Universe"),
+    pytest.param(lambda: make_topology(U2, (0, 1, 3)), lambda: make_topology(U2, [3, 1, 0]),
+                 id="Topology"),
+    pytest.param(lambda: EvalOptions(drop=frozenset({"open"})),
+                 lambda: EvalOptions(drop={"open"}), id="EvalOptions"),
+]
+
+
+@pytest.mark.parametrize("make, make_again", EQUAL_PAIRS)
+def test_equal_values_compare_and_hash_equal(make, make_again):
+    first, second = make(), make_again()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
+def test_cached_tables_stay_out_of_equality():
+    filled = make_topology(U2, (0, 1, 3))
+    assert filled.interior_table == (0, 1, 0, 3)
+    assert filled == Topology(U2, (0, 1, 3))
+    assert hash(filled) == hash(Topology(U2, (0, 1, 3)))
+    assert filled != Topology(U2, (0, 3))
+    assert GammaOperation((0, 1), "x") != GammaOperation((0, 1), "y")
+
+
+def test_universe_stores_its_labels_as_a_tuple():
+    listed = Universe(["a", "b"])
+    assert listed.labels == ("a", "b")
+    assert isinstance(listed.labels, tuple)
+    # a universe given as a list keys the shared point maps like a tuple one
+    assert _point_maps(listed, listed) is _point_maps(U2, U2)
+
+
+def test_search_config_stores_drop_as_a_frozenset():
+    config = SearchConfig(drop={"open"})
+    assert config.drop == frozenset({"open"})
+    assert isinstance(config.drop, frozenset)
+    assert config == SearchConfig(drop=frozenset({"open"}))
+    assert hash(config) == hash(SearchConfig(drop=["open"]))
+    assert config.options().drop == frozenset({"open"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("closure_variant", "bogus"),
+    ("domain", "bogus"),
+    ("semi_regular_variant", "bogus"),
+    ("interior_reading", "bogus"),
+    ("drop", {"bogus"}),
+    ("max_n", 0),
+    ("op_budget", 0),
+])
+def test_search_config_checks_every_field_at_construction(field, value):
+    with pytest.raises(ValueError):
+        SearchConfig(**{field: value})
