@@ -3,12 +3,12 @@ importing the CLI pulls in no heavy standard-library module.
 
 Where no bytecode cache is written (PYTHONDONTWRITEBYTECODE, a read-only
 install), every CLI job compiles each module it imports, and the compile
-of the largest module sets each job's peak resident set size. While
-`claims.py` held the whole registry (8 033 tokens), compiling it raised
-VmHWM by about 3 MB, against 0.9 MB or less for any other module, and set
-the peak of every job. The declarations therefore live in `registry.py`
-and the evaluation engine in `claims.py`, and no module may reach
-MODULE_TOKEN_LIMIT tokens.
+of the largest module sets a floor under each job's peak resident set
+size. While `claims.py` held the whole registry (8 033 tokens), compiling
+it raised VmHWM by about 3 MB, against 0.9 MB or less for any other
+module, and set the peak of every job. The declarations therefore live
+in `registry.py` and the evaluation engine in `claims.py`, and no module
+may reach MODULE_TOKEN_LIMIT tokens.
 
 CPython 3.11's parser also holds a module's tokens in an array that grows
 in steps of 8192 tokens; past a step it preallocates 8192 more, and every
