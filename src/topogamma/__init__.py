@@ -55,7 +55,6 @@ from .maps import (
 )
 from .ops import (
     GammaOperation,
-    OperationClass,
     classify_operation,
     enumerate_operations,
     gamma_builtin,

@@ -32,6 +32,7 @@ from .registry import (
     EvalOptions,
     Verdict,
     _continuity,
+    _hypothesis_names,
     _semi_open_map,
     _sr_flag,
     get_claim,
@@ -79,15 +80,15 @@ def _claim_context(claim: Claim, instance) -> SemistarContext:
 
 def _hypothesis_met(name: str, subject, opt: EvalOptions) -> bool:
     if isinstance(subject, SemistarContext):
-        cls = subject.space.classification
+        space = subject.space
         if name == "regular":
-            return cls.regular
+            return space.regular
         if name == "open":
-            return cls.open_op
+            return space.open_op
         if name == "monotone":
-            return cls.monotone
+            return space.monotone
         if name == "semi-regular":
-            return _sr_flag(cls, opt)
+            return _sr_flag(space, opt)
         raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
     if name == "bijective":
         return subject.map.bijective
@@ -97,16 +98,16 @@ def _hypothesis_met(name: str, subject, opt: EvalOptions) -> bool:
         return _semi_open_map(subject)
     # a flag is decided when first read, so each hypothesis decides only
     # the flags it names (T4.2's `regular` never classifies the codomain)
-    cls_x = subject.domain_ctx.space.classification
+    space_x = subject.domain_ctx.space
     if name == "regular":
-        return cls_x.regular
+        return space_x.regular
     if name == "semi-regular":
-        return _sr_flag(cls_x, opt)
-    cls_y = subject.codomain_ctx.space.classification
+        return _sr_flag(space_x, opt)
+    space_y = subject.codomain_ctx.space
     if name == "open":
-        return cls_x.open_op and cls_y.open_op
+        return space_x.open_op and space_y.open_op
     if name == "monotone":
-        return cls_x.monotone and cls_y.monotone
+        return space_x.monotone and space_y.monotone
     raise ValueError(f"unknown hypothesis {name!r}")
 
 
@@ -307,7 +308,8 @@ class SearchConfig(FrozenValue):
             raise ValueError(
                 f"unknown closure variant {closure_variant!r}, expected one of {CLOSURE_VARIANTS}"
             )
-        self._set(max_n, op_budget, domain, frozenset(drop), stop_at_first, closure_variant,
+        drop = frozenset(_hypothesis_names("drop", drop))
+        self._set(max_n, op_budget, domain, drop, stop_at_first, closure_variant,
                   semi_regular_variant, interior_reading)
         self.options()  # checks the readings and the dropped hypotheses
 

@@ -145,15 +145,15 @@ def _cmd_show(args) -> int:
     elif what == "sc":
         family = ctx.sc_family
     else:  # classify
-        cls = ctx.space.classification
+        space = ctx.space
         payload = {
             "what": "classify",
-            "regular": cls.regular,
-            "open": cls.open_op,
-            "monotone": cls.monotone,
-            "semi_regular_cap": cls.semi_regular_cap,
-            "semi_regular_cup": cls.semi_regular_cup,
-            "semi_open_op": cls.semi_open_op,
+            "regular": space.regular,
+            "open": space.open_op,
+            "monotone": space.monotone,
+            "semi_regular_cap": space.semi_regular_cap,
+            "semi_regular_cup": space.semi_regular_cup,
+            "semi_open_op": space.semi_open_op,
         }
         text = "\n".join(
             f"{key}: {value}" for key, value in payload.items() if key != "what"

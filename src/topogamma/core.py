@@ -232,9 +232,10 @@ class Topology(FrozenValue):
 
     def __init__(self, universe: Universe, opens: tuple[Mask, ...]):
         # set one by one rather than through `_set`: enumeration builds one
-        # Topology per open-set family, and the loop costs a third more
+        # Topology per open-set family, and the loop costs a third more;
+        # tuple() of the tuples it passes returns them unchanged
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "opens", opens)
+        object.__setattr__(self, "opens", tuple(opens))
 
     @cached_property
     def full(self) -> Mask:

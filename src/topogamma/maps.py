@@ -24,7 +24,7 @@ class PointMap(FrozenValue):
         for t in assignment:
             if not 0 <= t < target.size:
                 raise ValueError(f"assignment target index {t} out of range")
-        self._set(source, target, assignment)
+        self._set(source, target, tuple(assignment))
 
     @property
     def bijective(self) -> bool:

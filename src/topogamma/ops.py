@@ -1,4 +1,4 @@
-"""Expansive operations on subsets: construction, classification, enumeration.
+"""Expansive operations on subsets: construction and enumeration.
 
 An operation maps every subset of the universe to another subset and must be
 expansive on the open sets (V fits inside its image for every open V). Tables
@@ -8,11 +8,10 @@ semi-open sets, so partial tables are completed with an explicit fill policy.
 """
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Mapping
 
-from .core import FrozenValue, Mask, Topology, image_joins
+from .core import FrozenValue, Mask, Topology
 from .errors import NotExpansiveOnOpens
 
 BUILTIN_KINDS = ("identity", "closure", "interior-closure")
@@ -30,75 +29,6 @@ class GammaOperation(FrozenValue):
 
     def __call__(self, mask: Mask) -> Mask:
         return self.table[mask]
-
-
-class OperationClass:
-    """The operation-class flags of one GammaSpace, each decided by
-    exhaustive check the first time it is read.
-
-    regular: any two open neighborhoods of a point dominate a third one's
-    image (intersection form). open: every open neighborhood image contains
-    a gamma-open neighborhood. monotone: images preserve inclusion.
-    semi_regular_cap / _cup: the regularity pattern quantified over
-    semi-open neighborhoods, with intersection / union on the right side
-    (the union form holds for every operation, so it is a constant).
-    semi_open_op: every semi-open neighborhood image contains a semi-open
-    neighborhood.
-    """
-
-    def __init__(self, space):
-        self.space = space
-        self.table = space.gamma.table
-
-    def _regular_over(self, family: tuple[Mask, ...]) -> bool:
-        tab = self.table
-        up = self.space.universe.superset_bits
-        for x in range(self.space.universe.size):
-            # only the images of the neighborhoods matter, and a pair with
-            # one image is dominated by its own neighborhood
-            images = {tab[u] for u in family if u >> x & 1}
-            # a pair is dominated iff its meet lies in the images' up-set
-            above = 0
-            for w in images:
-                above |= up[w]
-            for g, h in combinations(images, 2):
-                if not above >> (g & h) & 1:
-                    return False
-        return True
-
-    @cached_property
-    def regular(self) -> bool:
-        return self._regular_over(self.space.topology.opens)
-
-    @cached_property
-    def open_op(self) -> bool:
-        # the gamma-opens inside image(U) cover U: U fits in its lattice interior
-        tab, interior = self.table, self.space.int_lattice_table
-        return all(u & ~interior[tab[u]] == 0 for u in self.space.topology.opens)
-
-    @cached_property
-    def monotone(self) -> bool:
-        # inclusion is generated by adding one point at a time
-        tab = self.table
-        return all(
-            tab[a] & ~tab[a | 1 << i] == 0
-            for a in range(len(tab))
-            for i in range(self.space.universe.size)
-        )
-
-    @cached_property
-    def semi_regular_cap(self) -> bool:
-        return self._regular_over(self.space.topology.semi_opens)
-
-    # for any two images g and h around x, w = g gives w inside g | h
-    semi_regular_cup = True
-
-    @cached_property
-    def semi_open_op(self) -> bool:
-        # the same test, with the join of the semi-opens inside image(U)
-        tab, semi = self.table, self.space.topology.semi_opens
-        interior = image_joins(semi, range(len(tab)))
-        return all(u & ~interior[tab[u]] == 0 for u in semi)
 
 
 def _finish(topology: Topology, table: list[Mask], origin: str) -> GammaOperation:
@@ -142,12 +72,12 @@ def gamma_from_table(
     return _finish(topology, table, "table")
 
 
-def classify_operation(topology: Topology, op: GammaOperation) -> OperationClass:
-    """The operation-class flags of `op` on `topology`, each decided the
-    first time it is read."""
+def classify_operation(topology: Topology, op: GammaOperation):
+    """The space of `op` on `topology`, whose operation-class flags are
+    each decided the first time they are read."""
     from .gamma import GammaSpace
 
-    return GammaSpace(topology, op).classification
+    return GammaSpace(topology, op)
 
 
 def enumerate_operations(

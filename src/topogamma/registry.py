@@ -44,6 +44,14 @@ KNOWN_HYPOTHESES = (
 )
 
 
+def _hypothesis_names(arg: str, names: Iterable[str]) -> Iterable[str]:
+    # a lone string would be read letter by letter
+    if isinstance(names, str):
+        raise ValueError(f"{arg}={names!r} is one string; {arg} takes hypothesis names, "
+                         f"such as [{names!r}]")
+    return names
+
+
 class EvalOptions(FrozenValue):
     """Readings and hypothesis overrides for one evaluation. The closure
     variant is not an option: it is the evaluated context's own."""
@@ -53,9 +61,9 @@ class EvalOptions(FrozenValue):
     def __init__(self, semi_regular_variant: str = "cap", interior_reading: str = "lattice",
                  drop: Iterable[str] = frozenset(), require: Optional[Iterable[str]] = None):
         # hashable fields, so that options can key the gate cache
-        drop = frozenset(drop)
+        drop = frozenset(_hypothesis_names("drop", drop))
         if require is not None:
-            require = tuple(require)
+            require = tuple(_hypothesis_names("require", require))
         if semi_regular_variant not in SEMI_REGULAR_VARIANTS:
             raise ValueError(f"unknown semi-regular variant {semi_regular_variant!r}")
         if interior_reading not in INTERIOR_READINGS:
@@ -382,14 +390,14 @@ def _reported_sweep(family: tuple, full: Mask) -> tuple:
     )
 
 
-def _sr_flag(cls, opt: EvalOptions) -> bool:
+def _sr_flag(space, opt: EvalOptions) -> bool:
     if opt.semi_regular_variant == "cap":
-        return cls.semi_regular_cap
-    return cls.semi_regular_cup
+        return space.semi_regular_cap
+    return space.semi_regular_cup
 
 
 def _semi_regular(ctx, opt):
-    return _sr_flag(ctx.space.classification, opt)
+    return _sr_flag(ctx.space, opt)
 
 
 def _tau(ctx, opt):
@@ -439,7 +447,7 @@ _EXAMPLES = (
     ("E3.23b", "F4", "the closure operation is not semi-regular", _semi_regular, False,
      "operation read as A -> cl(A)"),
     ("E3.23c", "F4", "the closure operation is a semi-open operation",
-     lambda ctx, opt: ctx.space.classification.semi_open_op, True),
+     lambda ctx, opt: ctx.space.semi_open_op, True),
     ("E3.25a", "F5", "reported semi-open family {{},{a},{c},{a,b},{b,c},X} matches the computed one",
      _so, (0, 1, 3, 4, 6, 7)),
     ("E3.25b", "F5", "{a,b} and {b,c} are semi-open but their intersection {b} is not",

@@ -57,12 +57,6 @@ class SemistarContext:
         # entry X - A of a power-set table is its entry A read backwards
         return tuple(map(and_, self.cl_table, reversed(self.cl_table)))
 
-    @property
-    def gamma_closed_family(self) -> tuple[Mask, ...]:
-        if self.closure_variant == "pointwise":
-            return self.space.pointwise_closed_family
-        return self.space.gamma_closed_family
-
     # starred semi families ---------------------------------------------
     @cached_property
     def so_family(self) -> tuple[Mask, ...]:
@@ -218,7 +212,7 @@ def is_pre_open(ctx: SemistarContext, mask: Mask) -> bool:
 def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
     """Some gamma-closed F has int_g(F) inside `mask` inside F (unchecked)."""
     int_g = ctx.int_table
-    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.gamma_closed_family)
+    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.space.gamma_closed_family)
 
 
 def int_of_cl_closed(ctx: SemistarContext, mask: Mask) -> bool:

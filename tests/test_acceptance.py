@@ -186,7 +186,7 @@ def test_criterion_7_map_suite():
         for variant in VARIANTS:
             contexts = [SemistarContext(s, variant) for s in spaces]
             for ctx_x in contexts:
-                if not ctx_x.space.classification.regular:
+                if not ctx_x.space.regular:
                     continue
                 for ctx_y in contexts:
                     for idx in range(27):

@@ -89,15 +89,13 @@ class TestClosures:
 
 class TestGammaClosed:
     def test_complement_variant(self, fid, f5):
-        assert is_gamma_closed(fid, C, "complement")
-        assert is_gamma_closed(f5, BC, "complement")
+        assert is_gamma_closed(fid, C)
+        assert is_gamma_closed(f5, BC)
 
     def test_pointwise_variant(self, f5):
-        assert not is_gamma_closed(f5, A, "pointwise")
-
-    def test_unknown_variant(self, f5):
-        with pytest.raises(ValueError):
-            is_gamma_closed(f5, A, "both")
+        # {a} is not gamma-closed: its pointwise closure leaves it
+        assert not is_gamma_closed(f5, A)
+        assert cl_gamma(f5, A) & ~A
 
 
 class TestBoundary:
@@ -153,8 +151,7 @@ def test_tau_gamma_intersection_report():
     for t in enumerate_topologies(3):
         for kind in ("identity", "closure", "interior-closure"):
             space = GammaSpace(t, gamma_builtin(kind, t))
-            cls = space.classification
-            if not (cls.monotone and cls.regular):
+            if not (space.monotone and space.regular):
                 continue
             checked += 1
             fam = set(gamma_open_family(space))

@@ -95,7 +95,7 @@ def _ref_tau_gamma(space) -> tuple:
 
 
 # a copy of the eager classifier the lazy flags replaced: every flag decided
-# by its quantifiers, straight from the docstring of OperationClass
+# by its quantifiers, straight from the docstring of GammaSpace
 def _ref_classify(space) -> dict:
     n, full = space.universe.size, space.full
     opens = space.topology.opens
@@ -212,11 +212,22 @@ def test_semistar_tables(variant):
 def test_lazy_flags_match_eager_classifier():
     for space in CASES:
         expected = _ref_classify(space)
-        cls = GammaSpace(space.topology, space.gamma).classification
+        fresh = GammaSpace(space.topology, space.gamma)
         # read in a different order on a fresh space: no flag leans on
         # another having been read first
-        got = {name: getattr(cls, name) for name in reversed(list(expected))}
+        got = {name: getattr(fresh, name) for name in reversed(list(expected))}
         assert got == expected, space.describe()
+
+
+def test_pointwise_closed_sets_are_the_gamma_closed_family():
+    # A holds every point whose open neighborhoods all have images meeting
+    # A exactly when X - A is gamma-open, since int_g is deflationary
+    assert len(CASES) == 1691
+    for space in CASES:
+        closed = tuple(
+            a for a in range(space.full + 1) if _subset(_ref_cl_pointwise(space, a), a)
+        )
+        assert closed == space.gamma_closed_family, space.describe()
 
 
 @pytest.mark.parametrize("variant", ["pointwise", "lattice"])

@@ -13,35 +13,34 @@ import pytest
 from topogamma import GammaSpace, SemistarContext, Universe
 from topogamma.claims import SearchConfig, _context_stream, search_counterexample
 from topogamma.core import enumerate_topologies, image_joins, submasks, supersets
-from topogamma.ops import OperationClass, enumerate_operations
+from topogamma.ops import enumerate_operations
 
 
 def _cached(cls) -> list:
     return sorted(name for name, attr in vars(cls).items() if isinstance(attr, cached_property))
 
 
-# an OperationClass is shared whole, as the `classification` of equal
-# operation tables: its flags read only the topology and the table
-SHARED_WITH_CLASSIFICATION = (
+# the operation-class flags are shared by equal operation tables: each
+# reads only the topology and the table
+SHARED_BY_TABLE_FLAGS = (
     "monotone", "open_op", "regular", "semi_open_op", "semi_regular_cap",
 )
 # cached names that no two operations share
-UNSHARED = {GammaSpace: (), SemistarContext: (), OperationClass: ()}
+UNSHARED = {GammaSpace: (), SemistarContext: ()}
 
-SPACE_TABLES = [name for name in _cached(GammaSpace) if name != "classification"]
+SPACE_TABLES = [name for name in _cached(GammaSpace) if name not in SHARED_BY_TABLE_FLAGS]
 CONTEXT_TABLES = _cached(SemistarContext)
-FLAGS = list(SHARED_WITH_CLASSIFICATION) + ["semi_regular_cup"]
+FLAGS = list(SHARED_BY_TABLE_FLAGS) + ["semi_regular_cup"]
 
 
 def test_every_cached_name_is_declared():
     space_shared = GammaSpace.SHARED_BY_TABLE + GammaSpace.SHARED_BY_INTERIOR
     context_shared = SemistarContext.SHARED_BY_TABLE + SemistarContext.SHARED_BY_INTERIOR
-    for cls, shared in ((GammaSpace, space_shared), (SemistarContext, context_shared),
-                        (OperationClass, SHARED_WITH_CLASSIFICATION)):
+    for cls, shared in ((GammaSpace, space_shared), (SemistarContext, context_shared)):
         declared = shared + UNSHARED[cls]
         assert len(set(declared)) == len(declared), cls.__name__
         assert sorted(declared) == _cached(cls), cls.__name__
-    assert "classification" in GammaSpace.SHARED_BY_TABLE
+    assert sorted(GammaSpace.SHARED_BY_TABLE) == sorted(SHARED_BY_TABLE_FLAGS)
 
 
 def _read(ctx: SemistarContext, k: int) -> None:
@@ -57,7 +56,7 @@ def _read(ctx: SemistarContext, k: int) -> None:
             getattr(ctx, name) if name in CONTEXT_TABLES else getattr(ctx.space, name)
         return
     for flag in FLAGS:
-        getattr(ctx.space.classification, flag)
+        getattr(ctx.space, flag)
     for name in SPACE_TABLES:
         getattr(ctx.space, name)
     for name in CONTEXT_TABLES:
@@ -73,8 +72,7 @@ def _assert_matches_fresh(ctx: SemistarContext) -> None:
     for name in CONTEXT_TABLES:
         assert getattr(ctx, name) == getattr(fresh, name), (name, ctx.describe())
     for flag in FLAGS:
-        got = getattr(space.classification, flag)
-        assert got == getattr(fresh.space.classification, flag), (flag, ctx.describe())
+        assert getattr(space, flag) == getattr(fresh.space, flag), (flag, ctx.describe())
 
 
 @pytest.mark.parametrize("max_n, budget, domain, closure", [

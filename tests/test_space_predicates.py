@@ -89,17 +89,20 @@ class RefSpaceEnv:
     @property
     def gclosed(self):
         if self.ctx.closure_variant == "pointwise":
-            return self.ctx.space.pointwise_closed_family
+            # the sets holding their pointwise closure, by definition, so the
+            # P3.29 reference checks that they are the gamma-closed sets
+            table = self.ctx.space.cl_pointwise_table
+            return tuple(a for a in range(self.full + 1) if table[a] & ~a == 0)
         return self.ctx.space.gamma_closed_family
 
 
 def _ref_hypothesis(name, env):
-    cls = env.ctx.space.classification
+    space = env.ctx.space
     if name == "semi-regular":
         if env.opt.semi_regular_variant == "cap":
-            return cls.semi_regular_cap
-        return cls.semi_regular_cup
-    return {"regular": cls.regular, "open": cls.open_op, "monotone": cls.monotone}[name]
+            return space.semi_regular_cap
+        return space.semi_regular_cup
+    return {"regular": space.regular, "open": space.open_op, "monotone": space.monotone}[name]
 
 
 def _masks(env):

@@ -47,7 +47,28 @@ EQUAL_PAIRS = [
                  id="Topology"),
     pytest.param(lambda: EvalOptions(drop=frozenset({"open"})),
                  lambda: EvalOptions(drop={"open"}), id="EvalOptions"),
+    pytest.param(lambda: make_topology(U2, (0, 1, 3)), lambda: Topology(U2, [0, 1, 3]),
+                 id="Topology-from-list"),
+    pytest.param(lambda: PointMap(U2, U2, (1, 0)), lambda: PointMap(U2, U2, [1, 0]),
+                 id="PointMap-from-list"),
 ]
+
+
+def test_list_fields_are_stored_as_tuples():
+    assert Topology(U2, [0, 1, 3]).opens == (0, 1, 3)
+    assert isinstance(Topology(U2, [0, 1, 3]).opens, tuple)
+    assert isinstance(PointMap(U2, U2, [1, 0]).assignment, tuple)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: EvalOptions(drop="open"), id="EvalOptions-drop"),
+    pytest.param(lambda: EvalOptions(require="open"), id="EvalOptions-require"),
+    pytest.param(lambda: SearchConfig(drop="open"), id="SearchConfig-drop"),
+])
+def test_a_bare_string_of_hypotheses_is_refused(make):
+    # read letter by letter, it would be refused for a letter it never named
+    with pytest.raises(ValueError, match="'open' is one string.*takes hypothesis names"):
+        make()
 
 
 @pytest.mark.parametrize("make, make_again", EQUAL_PAIRS)
