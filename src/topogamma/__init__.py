@@ -5,20 +5,20 @@ algebra an expansive operation induces (gamma-interior and closure, the
 starred semi-open machinery, continuity and openness of maps), and replays
 an executable claims registry against exhaustively enumerated instances,
 with counterexample search and a deterministic audit report.
+
+Each operator is a power-set table cached on `Topology`, `GammaSpace` or
+`SemistarContext` and indexed by mask; `Universe.check` validates a mask
+that comes from outside the program.
 """
 
 from .core import (
     Mask,
     Topology,
     Universe,
-    boundary,
     brute_force_topologies,
     canonical_family,
-    closure,
     default_universe,
     enumerate_topologies,
-    interior,
-    is_semi_open,
     make_topology,
     semi_closure,
     semi_open_family,
@@ -35,24 +35,8 @@ from .errors import (
     UniverseTooLarge,
     UnknownClaim,
 )
-from .gamma import (
-    GammaSpace,
-    bd_gamma,
-    cl_gamma,
-    cl_gamma_lattice,
-    gamma_open_family,
-    int_gamma,
-    int_gamma_lattice,
-    is_gamma_closed,
-)
-from .maps import (
-    MapInstance,
-    PointMap,
-    image,
-    is_gamma_semi_continuous,
-    is_gamma_semi_open_map,
-    preimage,
-)
+from .gamma import GammaSpace
+from .maps import MapInstance, PointMap, is_gamma_semi_continuous, is_gamma_semi_open_map
 from .ops import (
     GammaOperation,
     classify_operation,
@@ -60,22 +44,7 @@ from .ops import (
     gamma_builtin,
     gamma_from_table,
 )
-from .semistar import (
-    SemistarContext,
-    gs_closed_characterizations,
-    is_gs_closed,
-    is_gs_open,
-    is_pre_open,
-    is_semi_regular_set,
-    s_boundary,
-    s_closure,
-    s_exterior,
-    s_interior,
-    s_interior_pointwise,
-    sc_family,
-    semi_regular_family,
-    so_family,
-)
+from .semistar import SemistarContext
 from .registry import Claim, EvalOptions, Verdict, get_claim, list_claims
 from .claims import (
     AuditReport,

@@ -34,16 +34,13 @@ from .jsonio import (
     topologies_to_json,
 )
 from .ops import OPERATION_DOMAINS
-from .semistar import (
-    SemistarContext,
-    s_boundary,
-    s_closure,
-    s_exterior,
-    s_interior,
-)
+from .semistar import SemistarContext
 
 SHOW_WHAT = ("tau-gamma", "so", "sc", "scl", "sint", "sbd", "sext", "classify")
-_POINTWISE_WHAT = {"scl": s_closure, "sint": s_interior, "sbd": s_boundary, "sext": s_exterior}
+# the operators that take --set, each the context table it reads; the
+# semi-exterior of A is the semi-interior of X - A
+_SET_TABLES = {"scl": "scl_table", "sint": "sint_table", "sbd": "sbd_table",
+               "sext": "sint_table"}
 _SR_HELP = ("reading of the semi-regular hypothesis: cap (intersection form) or "
             "cup (union form). cup holds for every operation (take w = u), so "
             "under cup the hypothesis gates nothing")
@@ -121,15 +118,17 @@ def _fmt_family(universe, family) -> str:
 
 
 def _cmd_show(args) -> int:
+    what = args.what
+    takes_set = what in _SET_TABLES
+    if takes_set != (args.set_literal is not None):
+        print(f"--what {what} {'needs' if takes_set else 'takes no'} --set", file=sys.stderr)
+        return 2
     ctx = load_bundle(args.space, args.op, closure_variant=args.closure)
     universe = ctx.universe
-    what = args.what
-    if what in _POINTWISE_WHAT:
-        if args.set_literal is None:
-            print(f"--what {what} needs --set", file=sys.stderr)
-            return 2
+    if takes_set:
         mask = parse_set(args.set_literal, universe)
-        value = _POINTWISE_WHAT[what](ctx, mask)
+        table = getattr(ctx, _SET_TABLES[what])
+        value = table[ctx.full ^ mask if what == "sext" else mask]
         payload = {
             "what": what,
             "set": set_to_labels(universe, mask),

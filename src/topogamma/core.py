@@ -1,5 +1,5 @@
 """Finite universes, bitmask subsets, validated topologies, and the classical
-point-set operators (closure, interior, boundary, semi-open sets).
+point-set operators (closure and interior tables, semi-open sets).
 
 Subsets of an n-point universe are plain ints: bit i set means point i is in
 the subset. Point i carries the i-th label of the universe. Families of
@@ -100,6 +100,10 @@ class Universe(FrozenValue):
         return (1 << self.size) - 1
 
     def check(self, mask: Mask) -> Mask:
+        """Return `mask` when it is a subset of the universe, else raise
+        MaskOutOfRange. The operator tables of `Topology`, `GammaSpace`,
+        `SemistarContext` and `PointMap` are indexed by mask without a
+        check, so a mask from outside the program goes through here first."""
         if mask < 0 or mask & ~self.full:
             raise MaskOutOfRange(mask, self.size)
         return mask
@@ -282,30 +286,8 @@ def make_topology(universe: Universe, opens: Iterable[Mask]) -> Topology:
     return Topology(universe, fam)
 
 
-def interior(topology: Topology, mask: Mask) -> Mask:
-    """Largest open subset of `mask`."""
-    topology.universe.check(mask)
-    return topology.interior_table[mask]
-
-
-def closure(topology: Topology, mask: Mask) -> Mask:
-    """Smallest closed superset of `mask`."""
-    topology.universe.check(mask)
-    return topology.closure_table[mask]
-
-
-def boundary(topology: Topology, mask: Mask) -> Mask:
-    """cl(A) meets cl(X - A)."""
-    topology.universe.check(mask)
-    return closure(topology, mask) & closure(topology, topology.full ^ mask)
-
-
-def is_semi_open(topology: Topology, mask: Mask) -> bool:
-    """A is semi-open when A is inside the closure of its interior."""
-    topology.universe.check(mask)
-    return mask & ~topology.closure_table[topology.interior_table[mask]] == 0
-
-
+# kept for the benchmark tracer, which spans it; the package reads
+# `topology.semi_opens`
 def semi_open_family(topology: Topology) -> tuple[Mask, ...]:
     """Every semi-open subset, in canonical order."""
     return topology.semi_opens

@@ -5,7 +5,7 @@ realized as explicit total tables.
 """
 from __future__ import annotations
 
-from .core import Mask, Topology, Universe, closure, make_topology
+from .core import Mask, Topology, Universe, make_topology
 from .gamma import GammaSpace
 from .ops import GammaOperation, gamma_builtin, gamma_from_table
 
@@ -46,11 +46,12 @@ def _piecewise(topology: Topology, trigger: Mask, when_hit: str) -> GammaOperati
     when_hit is "closure" or "identity"; the complement case gets the
     opposite rule.
     """
+    closure = topology.closure_table
     entries: dict[Mask, Mask] = {}
     for a in range(topology.full + 1):
         hit = bool(a & trigger)
         use_closure = (when_hit == "closure") == hit
-        entries[a] = closure(topology, a) if use_closure else a
+        entries[a] = closure[a] if use_closure else a
     return gamma_from_table(topology, entries, fill="identity")
 
 

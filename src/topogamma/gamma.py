@@ -1,13 +1,13 @@
-"""Operators induced by an operation on a space: gamma-interior, the two
-gamma-closures, the gamma-open family, gamma-closedness, gamma-boundary, and
-the operation-class flags.
+"""Operators induced by an operation on a space, as tables over the power
+set: gamma-interior, the two gamma-closures, the gamma-open and gamma-closed
+families, and the operation-class flags.
 
 Two closures coexist on purpose. The pointwise closure collects the points
 whose every open neighborhood has an image meeting the set. The lattice
 closure is the meet of all gamma-closed supersets (complements of gamma-open
 sets). They agree for the identity operation but not in general, and several
 of the audited worked examples are only reproducible under the lattice one,
-so every downstream operator accepts a variant switch.
+so a `SemistarContext` pins one of them for every operator it derives.
 """
 from __future__ import annotations
 
@@ -148,53 +148,3 @@ class GammaSpace:
         tab, semi = self.gamma.table, self.topology.semi_opens
         interior = image_joins(semi, range(len(tab)))
         return all(u & ~interior[tab[u]] == 0 for u in semi)
-
-
-def int_gamma(space: GammaSpace, mask: Mask) -> Mask:
-    """Points of `mask` having an open neighborhood whose image fits in it."""
-    space.universe.check(mask)
-    return space.int_pointwise_table[mask]
-
-
-def gamma_open_family(space: GammaSpace) -> tuple[Mask, ...]:
-    """All fixed points of the pointwise gamma-interior, canonical order."""
-    return space.tau_gamma
-
-
-def cl_gamma(space: GammaSpace, mask: Mask) -> Mask:
-    """Pointwise gamma-closure: points whose every open neighborhood image
-    meets `mask`."""
-    space.universe.check(mask)
-    return space.cl_pointwise_table[mask]
-
-
-def cl_gamma_lattice(space: GammaSpace, mask: Mask) -> Mask:
-    """Meet of all gamma-closed supersets of `mask`."""
-    space.universe.check(mask)
-    return space.cl_lattice_table[mask]
-
-
-def int_gamma_lattice(space: GammaSpace, mask: Mask) -> Mask:
-    """Join of all gamma-open subsets of `mask`."""
-    space.universe.check(mask)
-    return space.int_lattice_table[mask]
-
-
-def is_gamma_closed(space: GammaSpace, mask: Mask) -> bool:
-    """The complement is gamma-open; equivalently, the pointwise closure
-    stays inside the set."""
-    space.universe.check(mask)
-    return (space.full ^ mask) in space.tau_gamma_set
-
-
-def bd_gamma(space: GammaSpace, mask: Mask, variant: str = "pointwise") -> Mask:
-    """Gamma-boundary: the chosen closure of the set meets that of its
-    complement."""
-    space.universe.check(mask)
-    if variant == "pointwise":
-        table = space.cl_pointwise_table
-    elif variant == "lattice":
-        table = space.cl_lattice_table
-    else:
-        raise ValueError(f"unknown closure variant {variant!r}, expected one of {CLOSURE_VARIANTS}")
-    return table[mask] & table[space.full ^ mask]

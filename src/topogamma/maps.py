@@ -22,6 +22,8 @@ class PointMap(FrozenValue):
         if len(assignment) != source.size:
             raise ValueError("assignment must cover every source point")
         for t in assignment:
+            if not isinstance(t, int):
+                raise ValueError(f"assignment target index {t!r} is not an integer")
             if not 0 <= t < target.size:
                 raise ValueError(f"assignment target index {t} out of range")
         self._set(source, target, tuple(assignment))
@@ -78,16 +80,6 @@ class PointMap(FrozenValue):
         for fibre in fibres:
             table += [m | fibre for m in table]
         return tuple(table)
-
-
-def image(point_map: PointMap, mask: Mask) -> Mask:
-    point_map.source.check(mask)
-    return point_map.image_table[mask]
-
-
-def preimage(point_map: PointMap, mask: Mask) -> Mask:
-    point_map.target.check(mask)
-    return point_map.preimage_table[mask]
 
 
 class MapInstance:

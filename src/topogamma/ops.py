@@ -72,6 +72,8 @@ def gamma_from_table(
     return _finish(topology, table, "table")
 
 
+# kept for the benchmark tracer, which spans it; the package builds
+# `GammaSpace` directly
 def classify_operation(topology: Topology, op: GammaOperation):
     """The space of `op` on `topology`, whose operation-class flags are
     each decided the first time they are read."""

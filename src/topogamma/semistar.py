@@ -1,7 +1,8 @@
-"""The starred semi operators: the semi-open family generated by gamma-open
-intervals, semi-closure, semi-interior (lattice and pointwise readings),
-semi-boundary, semi-exterior, semi-regular sets, pre-open sets, and the
-closedness characterizations consumed by the claims engine.
+"""The starred semi operators, as families and power-set tables cached on a
+context: the semi-open family generated by gamma-open intervals, the
+semi-closed family, semi-closure, semi-interior (lattice and pointwise
+readings) and semi-boundary; and the two closedness readings the claims
+registry compares with membership in the semi-closed family.
 
 A context pins one closure variant for the whole operator suite; comparing
 variants is the claims engine's job, never an operator's.
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from operator import and_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .core import Mask, Topology, dual_table, image_joins, interval_family
 from .gamma import CLOSURE_VARIANTS, GammaSpace
@@ -136,79 +137,6 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
         _share(caches, interior_pool, _BY_INTERIOR)
 
 
-class ClosedChecks(NamedTuple):
-    """The three closedness readings compared by the claims engine."""
-
-    sandwich: bool       # some gamma-closed F has int_g(F) inside A inside F
-    int_of_cl: bool      # int_g(cl_g(A)) stays inside A
-    member: bool         # A is in the semi-closed family
-
-
-def so_family(ctx: SemistarContext) -> tuple[Mask, ...]:
-    """The starred semi-open family of the context, canonical order."""
-    return ctx.so_family
-
-
-def sc_family(ctx: SemistarContext) -> tuple[Mask, ...]:
-    """Complements of the semi-open family, canonical order."""
-    return ctx.sc_family
-
-
-def is_gs_open(ctx: SemistarContext, mask: Mask) -> bool:
-    ctx.universe.check(mask)
-    return mask in ctx.so_set
-
-
-def is_gs_closed(ctx: SemistarContext, mask: Mask) -> bool:
-    ctx.universe.check(mask)
-    return (ctx.full ^ mask) in ctx.so_set
-
-
-def s_closure(ctx: SemistarContext, mask: Mask) -> Mask:
-    """Meet of the semi-closed supersets of `mask`."""
-    ctx.universe.check(mask)
-    return ctx.scl_table[mask]
-
-
-def s_interior(ctx: SemistarContext, mask: Mask) -> Mask:
-    """Join of the semi-open subsets of `mask`."""
-    ctx.universe.check(mask)
-    return ctx.sint_table[mask]
-
-
-def s_interior_pointwise(ctx: SemistarContext, mask: Mask) -> Mask:
-    """Points with a classically semi-open neighborhood whose image fits in
-    `mask`: the alternative interior some intersection identities need."""
-    ctx.universe.check(mask)
-    return ctx.sint_pointwise_table[mask]
-
-
-def s_boundary(ctx: SemistarContext, mask: Mask) -> Mask:
-    ctx.universe.check(mask)
-    return ctx.sbd_table[mask]
-
-
-def s_exterior(ctx: SemistarContext, mask: Mask) -> Mask:
-    ctx.universe.check(mask)
-    return ctx.sint_table[ctx.full ^ mask]
-
-
-def is_semi_regular_set(ctx: SemistarContext, mask: Mask) -> bool:
-    """Both semi-open and semi-closed."""
-    ctx.universe.check(mask)
-    return mask in ctx.so_set and mask in ctx.sc_set
-
-
-def semi_regular_family(ctx: SemistarContext) -> tuple[Mask, ...]:
-    return tuple(m for m in ctx.so_family if m in ctx.sc_set)
-
-
-def is_pre_open(ctx: SemistarContext, mask: Mask) -> bool:
-    """Verbatim equality test: A equals int_g(cl_g(A))."""
-    ctx.universe.check(mask)
-    return mask == ctx.int_table[ctx.cl_table[mask]]
-
-
 def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
     """Some gamma-closed F has int_g(F) inside `mask` inside F (unchecked)."""
     int_g = ctx.int_table
@@ -218,13 +146,3 @@ def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
 def int_of_cl_closed(ctx: SemistarContext, mask: Mask) -> bool:
     """int_g(cl_g(`mask`)) stays inside `mask` (unchecked)."""
     return ctx.int_table[ctx.cl_table[mask]] & ~mask == 0
-
-
-def gs_closed_characterizations(ctx: SemistarContext, mask: Mask) -> ClosedChecks:
-    """Evaluate the three closedness readings on one subset."""
-    ctx.universe.check(mask)
-    return ClosedChecks(
-        sandwich=sandwich_closed(ctx, mask),
-        int_of_cl=int_of_cl_closed(ctx, mask),
-        member=mask in ctx.sc_set,
-    )

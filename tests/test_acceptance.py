@@ -9,22 +9,17 @@ from topogamma import (
     SemistarContext,
     audit_paper,
     brute_force_topologies,
-    closure,
     default_universe,
     enumerate_topologies,
     evaluate_claim,
     gamma_builtin,
     gamma_from_table,
-    gamma_open_family,
     get_claim,
-    is_gs_open,
-    is_semi_open,
     list_claims,
     make_topology,
     reevaluate_witness,
     search_counterexample,
     semi_open_family,
-    so_family,
 )
 from topogamma.claims import CONFIRMED, REFUTED, VACUOUS, EvalOptions, SearchConfig
 from topogamma.core import supersets
@@ -60,13 +55,13 @@ def test_criterion_1_fixture_reproduction():
         # F4: the classical semi-open family, exact match
         assert semi_open_family(catalog["F4"].topology) == (EMPTY, A, AB, AC, X)
         # F3: {a} is classically semi-open yet not starred semi-open
-        assert is_semi_open(catalog["F3"].topology, A)
+        assert A in semi_open_family(catalog["F3"].topology)
         for variant in VARIANTS:
-            assert not is_gs_open(SemistarContext(catalog["F3"], variant), A)
+            assert A not in SemistarContext(catalog["F3"], variant).so_set
         # F5: {a,b} and {b,c} are starred semi-open, {b} is not
         for variant in VARIANTS:
             ctx = SemistarContext(catalog["F5"], variant)
-            fam = set(so_family(ctx))
+            fam = ctx.so_set
             assert AB in fam and BC in fam and B not in fam
 
     _report(1, "fixture reproduction", body)
@@ -124,13 +119,11 @@ def test_criterion_4_identity_degeneration():
         for n in (1, 2, 3, 4):
             for topology in enumerate_topologies(n):
                 space = GammaSpace(topology, gamma_builtin("identity", topology))
-                assert gamma_open_family(space) == topology.opens
-                assert space.cl_pointwise_table == tuple(
-                    closure(topology, m) for m in range(topology.full + 1)
-                )
+                assert space.tau_gamma == topology.opens
+                assert space.cl_pointwise_table == topology.closure_table
                 classical = semi_open_family(topology)
                 for variant in VARIANTS:
-                    assert so_family(SemistarContext(space, variant)) == classical
+                    assert SemistarContext(space, variant).so_family == classical
 
     _report(4, "identity degeneration", body)
 

@@ -92,6 +92,14 @@ class TestShow:
     def test_missing_set_is_usage_error(self, files, capsys):
         assert run(["show", "--space", files["f5"], "--what", "sbd"]) == 2
 
+    @pytest.mark.parametrize("what", ["tau-gamma", "so", "sc", "classify"])
+    def test_set_that_is_not_read_is_usage_error(self, files, capsys, what):
+        code = run(["show", "--space", files["f5"], "--what", what, "--set", "{zzz}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--what {what} takes no --set" in captured.err
+
     def test_default_operation_is_identity(self, files, capsys):
         code = run(["show", "--space", files["tau1"], "--what", "tau-gamma"])
         assert code == 0

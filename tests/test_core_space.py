@@ -9,12 +9,8 @@ from topogamma import (
     NotClosedUnderUnion,
     Universe,
     UniverseTooLarge,
-    boundary,
     brute_force_topologies,
-    closure,
     enumerate_topologies,
-    interior,
-    is_semi_open,
     make_topology,
     semi_closure,
     semi_open_family,
@@ -86,30 +82,32 @@ class TestUniverse:
 
 class TestClassicalOperators:
     def test_closure_examples(self):
-        assert closure(tau1(), A) == AC
-        assert closure(tau1(), EMPTY) == EMPTY
-        assert closure(tau2(), A) == X
+        assert tau1().closure_table[A] == AC
+        assert tau1().closure_table[EMPTY] == EMPTY
+        assert tau2().closure_table[A] == X
 
     def test_interior_examples(self):
-        assert interior(tau3(), AB) == A
-        assert interior(tau1(), X) == X
-        assert interior(tau1(), C) == EMPTY
+        assert tau3().interior_table[AB] == A
+        assert tau1().interior_table[X] == X
+        assert tau1().interior_table[C] == EMPTY
 
     def test_boundary_examples(self):
-        assert boundary(tau1(), A) == C
-        assert boundary(tau1(), EMPTY) == EMPTY
-        assert boundary(tau1(), X) == EMPTY
+        # the boundary of A is cl(A) meeting cl(X - A)
+        cl = tau1().closure_table
+        assert cl[A] & cl[X ^ A] == C
+        assert cl[EMPTY] & cl[X] == EMPTY
 
     def test_closure_matches_oracle_everywhere(self):
         for t in (tau1(), tau2(), tau3()):
             for mask in range(8):
-                assert closure(t, mask) == oracle_closure(t, mask)
+                assert t.closure_table[mask] == oracle_closure(t, mask)
 
-    def test_mask_out_of_range(self):
+    @pytest.mark.parametrize("mask", [-1, X + 1, 2 * (X + 1)])
+    def test_mask_out_of_range(self, mask):
+        # the tables index by mask unchecked; masks from outside go
+        # through Universe.check
         with pytest.raises(MaskOutOfRange):
-            closure(tau1(), 9)
-        with pytest.raises(MaskOutOfRange):
-            interior(tau1(), -1)
+            U3.check(mask)
 
 
 class TestSemiOpen:
@@ -123,11 +121,13 @@ class TestSemiOpen:
         t = make_topology(U3, [EMPTY, X])
         assert semi_open_family(t) == (EMPTY, X)
 
-    def test_predicate_matches_family(self):
+    def test_definition_matches_family(self):
+        # A is semi-open when A is inside the closure of its interior
         t = tau3()
         fam = set(semi_open_family(t))
+        cl, int_ = t.closure_table, t.interior_table
         for mask in range(8):
-            assert is_semi_open(t, mask) == (mask in fam)
+            assert (mask & ~cl[int_[mask]] == 0) == (mask in fam)
 
     def test_opens_are_semi_open(self):
         for t in (tau1(), tau2(), tau3()):
@@ -184,13 +184,14 @@ class TestEnumeration:
 @settings(max_examples=120, deadline=None)
 def test_operator_laws(t):
     full = t.full
+    interior, closure = t.interior_table, t.closure_table
     for mask in range(full + 1):
-        i, c = interior(t, mask), closure(t, mask)
+        i, c = interior[mask], closure[mask]
         assert i & ~mask == 0
         assert mask & ~c == 0
-        assert interior(t, i) == i
-        assert closure(t, c) == c
-        assert closure(t, full ^ mask) == full ^ interior(t, mask)
+        assert interior[i] == i
+        assert closure[c] == c
+        assert closure[full ^ mask] == full ^ interior[mask]
     fam = set(semi_open_family(t))
     for mask in range(full + 1):
         # complements of semi-open sets are exactly the semi-closure fixed points
@@ -200,10 +201,11 @@ def test_operator_laws(t):
 @given(topologies(max_n=3))
 @settings(max_examples=60, deadline=None)
 def test_monotone_operators(t):
+    interior, closure = t.interior_table, t.closure_table
     for a in range(t.full + 1):
         for b in range(a, t.full + 1):
             if a & ~b:
                 continue
-            assert interior(t, a) & ~interior(t, b) == 0
-            assert closure(t, a) & ~closure(t, b) == 0
+            assert interior[a] & ~interior[b] == 0
+            assert closure[a] & ~closure[b] == 0
             assert semi_closure(t, a) & ~semi_closure(t, b) == 0

@@ -5,18 +5,10 @@ from hypothesis import given, settings
 from topogamma import (
     GammaSpace,
     MaskOutOfRange,
-    bd_gamma,
-    cl_gamma,
-    cl_gamma_lattice,
-    closure,
+    SemistarContext,
     default_universe,
     enumerate_topologies,
     gamma_builtin,
-    gamma_open_family,
-    int_gamma,
-    int_gamma_lattice,
-    interior,
-    is_gamma_closed,
 )
 
 from conftest import gamma_spaces
@@ -26,91 +18,93 @@ EMPTY, A, B, AB, C, AC, BC, X = 0, 1, 2, 3, 4, 5, 6, 7
 
 class TestIntGamma:
     def test_identity_degenerates_to_interior(self, fid):
-        for mask in range(8):
-            assert int_gamma(fid, mask) == interior(fid.topology, mask)
+        assert fid.int_pointwise_table == fid.topology.interior_table
 
     def test_f5_example(self, f5):
-        assert int_gamma(f5, AB) == A
+        assert f5.int_pointwise_table[AB] == A
 
     def test_empty(self, catalog):
-        assert int_gamma(catalog["F1"], EMPTY) == EMPTY
+        assert catalog["F1"].int_pointwise_table[EMPTY] == EMPTY
 
-    def test_out_of_range(self, f5):
+    @pytest.mark.parametrize("mask", [-1, X + 1, 2 * (X + 1)])
+    def test_out_of_range(self, f5, mask):
+        # the tables index by mask unchecked; masks from outside go
+        # through Universe.check
         with pytest.raises(MaskOutOfRange):
-            int_gamma(f5, 8)
+            f5.universe.check(mask)
 
 
 class TestGammaOpenFamily:
     def test_f5_equals_tau3(self, f5):
-        assert gamma_open_family(f5) == (EMPTY, A, C, AC, X)
+        assert f5.tau_gamma == (EMPTY, A, C, AC, X)
 
     def test_identity_gives_opens(self, fid):
-        assert gamma_open_family(fid) == fid.topology.opens
+        assert fid.tau_gamma == fid.topology.opens
 
     def test_f1_computed_family(self, catalog):
         # the full tau1: every open already fixes int_gamma here; the
         # smaller family the audit compares against is claim E3.2a
-        assert gamma_open_family(catalog["F1"]) == (EMPTY, A, B, AB, AC, X)
+        assert catalog["F1"].tau_gamma == (EMPTY, A, B, AB, AC, X)
 
     def test_members_are_fixed_points(self, catalog):
         for space in catalog.values():
-            fam = gamma_open_family(space)
+            fam = space.tau_gamma
             assert EMPTY in fam and X in fam
-            assert all(int_gamma(space, m) == m for m in fam)
+            assert all(space.int_pointwise_table[m] == m for m in fam)
 
 
 class TestClosures:
     def test_identity_degenerates_to_closure(self, fid):
-        for mask in range(8):
-            assert cl_gamma(fid, mask) == closure(fid.topology, mask)
-            assert cl_gamma_lattice(fid, mask) == closure(fid.topology, mask)
+        assert fid.cl_pointwise_table == fid.topology.closure_table
+        assert fid.cl_lattice_table == fid.topology.closure_table
 
     def test_f5_pointwise(self, f5):
-        assert cl_gamma(f5, A) == AB
-        assert cl_gamma(f5, EMPTY) == EMPTY
+        assert f5.cl_pointwise_table[A] == AB
+        assert f5.cl_pointwise_table[EMPTY] == EMPTY
 
     def test_f5_lattice(self, f5):
-        assert cl_gamma_lattice(f5, C) == BC
+        assert f5.cl_lattice_table[C] == BC
 
     def test_lattice_examples_identity(self, fid):
-        assert cl_gamma_lattice(fid, A) == AC
+        assert fid.cl_lattice_table[A] == AC
 
     def test_pointwise_inside_lattice(self, catalog):
         for space in catalog.values():
             for mask in range(8):
-                assert cl_gamma(space, mask) & ~cl_gamma_lattice(space, mask) == 0
+                assert space.cl_pointwise_table[mask] & ~space.cl_lattice_table[mask] == 0
 
     def test_int_lattice(self, fid, f5):
-        for mask in range(8):
-            assert int_gamma_lattice(fid, mask) == interior(fid.topology, mask)
-        assert int_gamma_lattice(f5, AB) == A
-        assert int_gamma_lattice(f5, B) == EMPTY
+        assert fid.int_lattice_table == fid.topology.interior_table
+        assert f5.int_lattice_table[AB] == A
+        assert f5.int_lattice_table[B] == EMPTY
 
 
 class TestGammaClosed:
     def test_complement_variant(self, fid, f5):
-        assert is_gamma_closed(fid, C)
-        assert is_gamma_closed(f5, BC)
+        assert C in fid.gamma_closed_family
+        assert BC in f5.gamma_closed_family
 
     def test_pointwise_variant(self, f5):
         # {a} is not gamma-closed: its pointwise closure leaves it
-        assert not is_gamma_closed(f5, A)
-        assert cl_gamma(f5, A) & ~A
+        assert A not in f5.gamma_closed_family
+        assert f5.cl_pointwise_table[A] & ~A
 
 
 class TestBoundary:
+    # the gamma-boundary is the context's bd_table, under its closure
     def test_identity(self, fid):
-        assert bd_gamma(fid, A) == C
+        assert SemistarContext(fid).bd_table[A] == C
 
     def test_f5(self, f5):
-        assert bd_gamma(f5, A) == B
+        assert SemistarContext(f5).bd_table[A] == B
 
     def test_whole_space(self, catalog):
         for space in catalog.values():
-            assert bd_gamma(space, X) == EMPTY
+            assert SemistarContext(space).bd_table[X] == EMPTY
 
     def test_lattice_variant(self, f5):
-        assert bd_gamma(f5, A, "lattice") == cl_gamma_lattice(f5, A) & cl_gamma_lattice(f5, BC)
+        cl = f5.cl_lattice_table
+        assert SemistarContext(f5, "lattice").bd_table[A] == cl[A] & cl[BC]
 
 
 class TestSpaceValidation:
@@ -136,10 +130,9 @@ def test_identity_degeneration_all_small_topologies():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
             space = GammaSpace(t, gamma_builtin("identity", t))
-            assert gamma_open_family(space) == t.opens
-            for mask in range(t.full + 1):
-                assert cl_gamma(space, mask) == closure(t, mask)
-                assert int_gamma(space, mask) == interior(t, mask)
+            assert space.tau_gamma == t.opens
+            assert space.cl_pointwise_table == t.closure_table
+            assert space.int_pointwise_table == t.interior_table
 
 
 def test_tau_gamma_intersection_report():
@@ -154,7 +147,7 @@ def test_tau_gamma_intersection_report():
             if not (space.monotone and space.regular):
                 continue
             checked += 1
-            fam = set(gamma_open_family(space))
+            fam = space.tau_gamma_set
             for x in fam:
                 for y in fam:
                     if (x & y) not in fam:
@@ -169,11 +162,11 @@ def test_tau_gamma_intersection_report():
 @settings(max_examples=100, deadline=None)
 def test_gamma_operator_laws(space):
     full = space.full
-    fam = set(gamma_open_family(space))
+    fam = space.tau_gamma_set
     for mask in range(full + 1):
-        assert int_gamma(space, mask) & ~mask == 0
-        assert mask & ~cl_gamma(space, mask) == 0
-    assert cl_gamma(space, 0) == 0
+        assert space.int_pointwise_table[mask] & ~mask == 0
+        assert mask & ~space.cl_pointwise_table[mask] == 0
+    assert space.cl_pointwise_table[0] == 0
     # the gamma-open family is always union-closed
     for x in fam:
         for y in fam:

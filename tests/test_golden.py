@@ -6,15 +6,21 @@ the sha256 of every `enumerate --n k` listing, text and JSON (recorded
 before rendering moved to per-universe label tables), and the sha256 of
 small map-claim searches, text and JSON, under both closures (recorded
 while map claims still read their instance through a forwarding
-wrapper), and the sha256 of small space-claim searches, text and JSON
-(recorded before the search stream shared tables between operations)."""
+wrapper), the sha256 of small space-claim searches, text and JSON
+(recorded before the search stream shared tables between operations), and
+the sha256 of every `show` form on the six fixtures (recorded while `show`
+still called the semistar operator functions)."""
+import contextlib
 import hashlib
+import io
+import json
 from pathlib import Path
 
 import pytest
 
-from topogamma import audit_paper
+from topogamma import audit_paper, fixture_catalog
 from topogamma.cli import run
+from topogamma.jsonio import space_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,4 +93,51 @@ def test_space_search_matches_golden_digest(capsys, command, digest):
     code = run(command.split())
     out = capsys.readouterr().out
     assert code == (1 if "REFUTED" in out else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every --what on every fixture under both closures, text and JSON; an
+# operator that takes --set runs on every subset in mask order, and one
+# digest covers the outputs of all of them
+SHOW_DIGESTS = _digests("show.sha256")
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fixtures")
+    return write_fixture_files(folder)
+
+
+def write_fixture_files(folder: Path) -> dict:
+    """Each fixture as a space file with its operation embedded."""
+    paths = {}
+    for name, space in fixture_catalog().items():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(space_to_json(space.topology, space.gamma)))
+        paths[name] = str(path)
+    return paths
+
+
+def show_stdout(command: str, paths: dict) -> str:
+    """The stdout of `command`, its --space named by fixture, once per
+    subset of the universe when the --what takes --set."""
+    argv = command.split()
+    at = argv.index("--space") + 1
+    name = argv[at]
+    argv[at] = paths[name]
+    universe = fixture_catalog()[name].universe
+    what = argv[argv.index("--what") + 1]
+    runs = ([argv + ["--set", literal] for literal in universe.format_table]
+            if what in ("scl", "sint", "sbd", "sext") else [argv])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for one in runs:
+            assert run(one) == 0, one
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command, digest", SHOW_DIGESTS,
+                         ids=[command for command, _ in SHOW_DIGESTS])
+def test_show_matches_golden_digest(fixture_files, command, digest):
+    out = show_stdout(command, fixture_files)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,12 +1,12 @@
 """The map-claim predicates, which index context and point-map tables,
-against a copy of the reading path they replaced: environments that call
-the context operators and `image`/`preimage` per mask, and the pointwise
+against a copy of the reading path they replaced: environments that read
+the context operators and the point-map tables one mask at a time, and the pointwise
 continuity test as the loop over points, gamma-open sets and semi-open sets
 that the semi-interior identity replaces. Each "iff" claim is compared side
 by side: its `holds` and its witness detail both follow from its sides."""
 import pytest
 
-from topogamma import evaluate_claim, image, maps, preimage
+from topogamma import evaluate_claim, maps
 from topogamma.claims import (
     REFUTED,
     SearchConfig,
@@ -69,10 +69,10 @@ class RefMapEnv:
         self.semi_open_map = all(self.img(u) in self.Y.so_set for u in self.X.tau)
 
     def img(self, a):
-        return image(self.inst.map, a)
+        return self.inst.map.image_table[a]
 
     def pre(self, b):
-        return preimage(self.inst.map, b)
+        return self.inst.map.preimage_table[b]
 
 
 def _pointwise_continuity(env):

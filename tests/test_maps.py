@@ -7,10 +7,8 @@ from topogamma import (
     MapInstance,
     PointMap,
     SemistarContext,
-    image,
     is_gamma_semi_continuous,
     is_gamma_semi_open_map,
-    preimage,
 )
 from topogamma.fixtures import U3
 
@@ -56,16 +54,16 @@ class TestPointMap:
 
 class TestImagePreimage:
     def test_identity(self):
-        assert image(IDENTITY, AB) == AB
-        assert preimage(IDENTITY, AB) == AB
+        assert IDENTITY.image_table[AB] == AB
+        assert IDENTITY.preimage_table[AB] == AB
 
     def test_constant(self):
-        assert image(CONSTANT_A, X) == A
-        assert preimage(CONSTANT_A, A) == X
-        assert preimage(CONSTANT_A, BC) == EMPTY
+        assert CONSTANT_A.image_table[X] == A
+        assert CONSTANT_A.preimage_table[A] == X
+        assert CONSTANT_A.preimage_table[BC] == EMPTY
 
     def test_collapse_preimage(self):
-        assert preimage(COLLAPSE, B) == AB
+        assert COLLAPSE.preimage_table[B] == AB
 
     @given(
         st.integers(min_value=0, max_value=7),
@@ -74,9 +72,8 @@ class TestImagePreimage:
     @settings(max_examples=120, deadline=None)
     def test_galois_laws(self, mask, assignment):
         pm = PointMap(U3, U3, assignment)
-        assert preimage(pm, image(pm, mask)) & ~0 >= 0
-        assert mask & ~preimage(pm, image(pm, mask)) == 0
-        assert image(pm, preimage(pm, mask)) & ~mask == 0
+        assert mask & ~pm.preimage_table[pm.image_table[mask]] == 0
+        assert pm.image_table[pm.preimage_table[mask]] & ~mask == 0
 
 
 def _self_instance(space, point_map, variant="pointwise"):
@@ -103,13 +100,13 @@ class TestContinuity:
         # the preimage of {a} is {c}, which is not semi-open in tau1
         assert not check.ok
         assert check.witness == A
-        assert preimage(SWAP_AC, A) == C
+        assert SWAP_AC.preimage_table[A] == C
 
     def test_witness_reproduces(self, f5):
         inst = _self_instance(f5, PointMap(U3, U3, (1, 1, 1)))
         check = is_gamma_semi_continuous(inst)
         if not check.ok:
-            assert preimage(inst.map, check.witness) not in inst.domain_ctx.so_set
+            assert inst.map.preimage_table[check.witness] not in inst.domain_ctx.so_set
 
 
 class TestOpenness:
@@ -135,7 +132,7 @@ class TestOpenness:
         pm = PointMap(U3, U3, (0, 0, 2))  # a,b -> a; c -> c
         check = is_gamma_semi_open_map(MapInstance(ctx, ctx, pm))
         if not check.ok:
-            assert image(pm, check.witness) not in ctx.so_set
+            assert pm.image_table[check.witness] not in ctx.so_set
 
 
 class TestDegeneration:
@@ -148,7 +145,7 @@ class TestDegeneration:
         inst = _self_instance(fid, PointMap(U3, U3, assignment))
         classical = set(semi_open_family(fid.topology))
         expected = all(
-            preimage(inst.map, b) in classical for b in fid.topology.opens
+            inst.map.preimage_table[b] in classical for b in fid.topology.opens
         )
         assert is_gamma_semi_continuous(inst).ok == expected
 

@@ -30,4 +30,4 @@ def test_library_tour_shows_what_it_computes():
         assert shown == repr(value), line
         pending = []
         checked += 1
-    assert checked == 3
+    assert checked == 4

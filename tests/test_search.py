@@ -12,8 +12,6 @@ from topogamma import (
     SemistarContext,
     default_universe,
     evaluate_claim,
-    image,
-    preimage,
 )
 from topogamma.claims import (
     REFUTED,
@@ -188,14 +186,13 @@ class TestPointMapTables:
                 _preimage_by_bits(assignment, b) for b in range(target.full + 1))
 
     def test_out_of_range_masks_still_raise(self):
-        source, target = default_universe(2), default_universe(3)
-        pm = PointMap(source, target, (2, 0))
-        for bad in (-1, 4, 8):
-            with pytest.raises(MaskOutOfRange):
-                image(pm, bad)
-        for bad in (-1, 8, 16):
-            with pytest.raises(MaskOutOfRange):
-                preimage(pm, bad)
+        # the tables index by mask unchecked; a mask from outside is
+        # checked on the map's source or target universe first
+        pm = PointMap(default_universe(2), default_universe(3), (2, 0))
+        for universe in (pm.source, pm.target):
+            for bad in (-1, universe.full + 1, 2 * (universe.full + 1)):
+                with pytest.raises(MaskOutOfRange):
+                    universe.check(bad)
 
     def test_cached_tables_leave_equality_alone(self):
         u = default_universe(2)

@@ -2,23 +2,8 @@
 import pytest
 from hypothesis import given, settings
 
-from topogamma import (
-    SemistarContext,
-    gs_closed_characterizations,
-    is_gs_closed,
-    is_gs_open,
-    is_pre_open,
-    is_semi_regular_set,
-    s_boundary,
-    s_closure,
-    s_exterior,
-    s_interior,
-    s_interior_pointwise,
-    semi_closure,
-    semi_open_family,
-    semi_regular_family,
-    so_family,
-)
+from topogamma import SemistarContext, semi_closure, semi_open_family
+from topogamma.semistar import int_of_cl_closed, sandwich_closed
 
 from conftest import semistar_contexts
 
@@ -31,27 +16,32 @@ def ctx_of(space, variant="pointwise"):
     return SemistarContext(space, variant)
 
 
+def semi_regular(ctx, mask):
+    """Both semi-open and semi-closed."""
+    return mask in ctx.so_set and mask in ctx.sc_set
+
+
 class TestSoFamily:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_f5(self, f5, variant):
-        assert so_family(ctx_of(f5, variant)) == (EMPTY, A, AB, C, AC, BC, X)
+        assert ctx_of(f5, variant).so_family == (EMPTY, A, AB, C, AC, BC, X)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_identity_degenerates_to_classical(self, fid, variant):
         ctx = ctx_of(fid, variant)
-        assert so_family(ctx) == semi_open_family(fid.topology)
+        assert ctx.so_family == semi_open_family(fid.topology)
 
     def test_f1_computed(self, catalog):
         # with the computed gamma-open family (all of tau1) the semi-open
         # family is tau1 as well; the smaller reported family is audited
         # under claim E3.2b
-        assert so_family(ctx_of(catalog["F1"])) == (EMPTY, A, B, AB, AC, X)
+        assert ctx_of(catalog["F1"]).so_family == (EMPTY, A, B, AB, AC, X)
 
     def test_tau_gamma_members_are_semi_open(self, catalog):
         for space in catalog.values():
             for variant in VARIANTS:
                 ctx = ctx_of(space, variant)
-                assert set(space.tau_gamma) <= set(so_family(ctx))
+                assert set(space.tau_gamma) <= ctx.so_set
 
     def test_sc_family_is_complements(self, f5):
         ctx = ctx_of(f5)
@@ -62,42 +52,42 @@ class TestMembership:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_f3_a_not_semi_open(self, catalog, variant):
         ctx = ctx_of(catalog["F3"], variant)
-        assert not is_gs_open(ctx, A)
+        assert A not in ctx.so_set
 
     def test_whole_space_both_ways(self, catalog):
         for space in catalog.values():
             ctx = ctx_of(space)
-            assert is_gs_open(ctx, X) and is_gs_closed(ctx, X)
-            assert is_gs_open(ctx, EMPTY) and is_gs_closed(ctx, EMPTY)
+            assert X in ctx.so_set and X in ctx.sc_set
+            assert EMPTY in ctx.so_set and EMPTY in ctx.sc_set
 
     def test_f5_examples(self, f5):
         ctx = ctx_of(f5)
-        assert is_gs_open(ctx, AB)
-        assert is_gs_open(ctx, BC)
-        assert not is_gs_open(ctx, B)
+        assert AB in ctx.so_set
+        assert BC in ctx.so_set
+        assert B not in ctx.so_set
 
 
 class TestClosureInterior:
     def test_s_closure_examples(self, f5):
         ctx = ctx_of(f5)
-        assert s_closure(ctx, B) == B
-        assert s_closure(ctx, X) == X
+        assert ctx.scl_table[B] == B
+        assert ctx.scl_table[X] == X
 
     def test_s_closure_identity_degeneration(self, fid):
         ctx = ctx_of(fid)
         for mask in range(8):
-            assert s_closure(ctx, mask) == semi_closure(fid.topology, mask)
+            assert ctx.scl_table[mask] == semi_closure(fid.topology, mask)
 
     def test_s_interior_examples(self, f5):
         ctx = ctx_of(f5)
-        assert s_interior(ctx, AB) == AB
-        assert s_interior(ctx, EMPTY) == EMPTY
-        assert s_interior(ctx, B) == EMPTY
+        assert ctx.sint_table[AB] == AB
+        assert ctx.sint_table[EMPTY] == EMPTY
+        assert ctx.sint_table[B] == EMPTY
 
     def test_pointwise_interior_examples(self, f5):
         ctx = ctx_of(f5)
-        assert s_interior_pointwise(ctx, A) == A
-        assert s_interior_pointwise(ctx, B) == EMPTY
+        assert ctx.sint_pointwise_table[A] == A
+        assert ctx.sint_pointwise_table[B] == EMPTY
 
     def test_pointwise_interior_identity(self, fid):
         ctx = ctx_of(fid)
@@ -109,121 +99,128 @@ class TestClosureInterior:
                     u >> x & 1 and u & ~mask == 0 for u in classical
                 ):
                     expected |= 1 << x
-            assert s_interior_pointwise(ctx, mask) == expected
+            assert ctx.sint_pointwise_table[mask] == expected
 
 
 class TestBoundaryExterior:
     def test_boundary_of_whole_space(self, catalog):
         for space in catalog.values():
-            assert s_boundary(ctx_of(space), X) == EMPTY
+            assert ctx_of(space).sbd_table[X] == EMPTY
 
     def test_f5_boundary_of_a_is_empty(self, f5):
         # {a} is semi-open and its complement {b,c} is too, so {a} is
         # semi-regular and its semi-boundary vanishes
         ctx = ctx_of(f5)
-        assert s_closure(ctx, A) == A
-        assert s_closure(ctx, BC) == BC
-        assert s_boundary(ctx, A) == EMPTY
+        assert ctx.scl_table[A] == A
+        assert ctx.scl_table[BC] == BC
+        assert ctx.sbd_table[A] == EMPTY
 
     def test_identity_boundary_is_classical(self, fid):
         ctx = ctx_of(fid)
         t = fid.topology
         for mask in range(8):
             classical = semi_closure(t, mask) & semi_closure(t, X ^ mask)
-            assert s_boundary(ctx, mask) == classical
+            assert ctx.sbd_table[mask] == classical
 
     def test_exterior(self, f5):
-        ctx = ctx_of(f5)
-        assert s_exterior(ctx, EMPTY) == X
-        assert s_exterior(ctx, AB) == C
-        assert s_exterior(ctx, X) == EMPTY
+        # the semi-exterior of A is the semi-interior of X - A
+        sint = ctx_of(f5).sint_table
+        assert sint[X ^ EMPTY] == X
+        assert sint[X ^ AB] == C
+        assert sint[X ^ X] == EMPTY
 
 
 class TestSemiRegular:
     def test_trivial_members(self, catalog):
         for space in catalog.values():
             ctx = ctx_of(space)
-            assert is_semi_regular_set(ctx, EMPTY)
-            assert is_semi_regular_set(ctx, X)
+            assert semi_regular(ctx, EMPTY)
+            assert semi_regular(ctx, X)
 
     def test_f5_ac_is_not(self, f5):
         # {a,c} is semi-regular only if {b} were semi-open, which it is not
-        assert not is_semi_regular_set(ctx_of(f5), AC)
+        assert not semi_regular(ctx_of(f5), AC)
 
     def test_complement_symmetry(self, catalog):
         for space in catalog.values():
             ctx = ctx_of(space)
             for mask in range(8):
-                assert is_semi_regular_set(ctx, mask) == is_semi_regular_set(ctx, X ^ mask)
+                assert semi_regular(ctx, mask) == semi_regular(ctx, X ^ mask)
 
     def test_family_matches_predicate(self, f5):
+        # semi-closed means the complement is semi-open
         ctx = ctx_of(f5)
-        fam = semi_regular_family(ctx)
-        assert fam == tuple(m for m in range(8) if is_semi_regular_set(ctx, m))
+        fam = tuple(m for m in range(8) if semi_regular(ctx, m))
+        assert fam == tuple(m for m in ctx.so_family if X ^ m in ctx.so_set)
+        assert fam == (EMPTY, A, AB, C, BC, X)
 
     def test_boundary_empty_iff_semi_regular(self, catalog):
         for space in catalog.values():
             for variant in VARIANTS:
                 ctx = ctx_of(space, variant)
                 for mask in range(8):
-                    assert (s_boundary(ctx, mask) == EMPTY) == is_semi_regular_set(ctx, mask)
+                    assert (ctx.sbd_table[mask] == EMPTY) == semi_regular(ctx, mask)
 
 
 class TestPreOpen:
+    # A is pre-open when A equals int_g(cl_g(A))
     def test_trivial(self, catalog):
         for space in catalog.values():
             ctx = ctx_of(space)
-            assert is_pre_open(ctx, EMPTY)
-            assert is_pre_open(ctx, X)
+            assert ctx.int_table[ctx.cl_table[EMPTY]] == EMPTY
+            assert ctx.int_table[ctx.cl_table[X]] == X
 
     def test_identity_a(self, fid):
         # int(cl({a})) = int({a,c}) = {a,c}, so the equality fails
-        assert not is_pre_open(ctx_of(fid), A)
+        ctx = ctx_of(fid)
+        assert ctx.int_table[ctx.cl_table[A]] != A
 
 
 class TestClosedChecks:
     def test_identity_c(self, fid):
-        checks = gs_closed_characterizations(ctx_of(fid), C)
-        assert checks.sandwich and checks.int_of_cl and checks.member
+        ctx = ctx_of(fid)
+        assert sandwich_closed(ctx, C) and int_of_cl_closed(ctx, C) and C in ctx.sc_set
 
     def test_whole_space(self, catalog):
         for space in catalog.values():
-            checks = gs_closed_characterizations(ctx_of(space), X)
-            assert checks.sandwich and checks.int_of_cl and checks.member
+            ctx = ctx_of(space)
+            assert sandwich_closed(ctx, X) and int_of_cl_closed(ctx, X) and X in ctx.sc_set
 
     def test_f5_a(self, f5):
-        checks = gs_closed_characterizations(ctx_of(f5), A)
+        ctx = ctx_of(f5)
         # int_g(cl_g({a})) = int_g({a,b}) = {a} stays inside {a}; and {a}
         # is semi-closed because {b,c} is semi-open
-        assert checks.int_of_cl
-        assert checks.member
+        assert int_of_cl_closed(ctx, A)
+        assert A in ctx.sc_set
 
 
 @given(semistar_contexts(max_n=4))
 @settings(max_examples=120, deadline=None)
 def test_duality_and_decomposition(ctx):
     full = ctx.full
+    scl, sint, sbd = ctx.scl_table, ctx.sint_table, ctx.sbd_table
     for mask in range(full + 1):
         fa = full ^ mask
-        assert s_interior(ctx, fa) == full ^ s_closure(ctx, mask)
-        assert s_closure(ctx, fa) == full ^ s_interior(ctx, mask)
-        assert s_interior(ctx, mask) == full ^ s_closure(ctx, fa)
-        assert s_boundary(ctx, mask) == s_boundary(ctx, fa)
-        assert s_boundary(ctx, mask) & s_interior(ctx, mask) == 0
-        assert s_closure(ctx, mask) == s_interior(ctx, mask) | s_boundary(ctx, mask)
-        assert s_interior(ctx, mask) | s_interior(ctx, fa) | s_boundary(ctx, mask) == full
+        assert sint[fa] == full ^ scl[mask]
+        assert scl[fa] == full ^ sint[mask]
+        assert sint[mask] == full ^ scl[fa]
+        assert sbd[mask] == sbd[fa]
+        assert sbd[mask] & sint[mask] == 0
+        assert scl[mask] == sint[mask] | sbd[mask]
+        assert sint[mask] | sint[fa] | sbd[mask] == full
         # membership characterizations
-        assert (mask in ctx.so_set) == (mask & s_boundary(ctx, mask) == 0)
-        assert (mask in ctx.sc_set) == (s_boundary(ctx, mask) & ~mask == 0)
+        assert (mask in ctx.so_set) == (mask & sbd[mask] == 0)
+        assert (mask in ctx.sc_set) == (sbd[mask] & ~mask == 0)
 
 
 @given(semistar_contexts(max_n=4))
 @settings(max_examples=80, deadline=None)
 def test_monotonicity(ctx):
     full = ctx.full
+    scl, sint = ctx.scl_table, ctx.sint_table
     for a in range(full + 1):
         for b in range(a, full + 1):
             if a & ~b:
                 continue
-            assert s_closure(ctx, a) & ~s_closure(ctx, b) == 0
-            assert s_interior(ctx, a) & ~s_interior(ctx, b) == 0
+            assert scl[a] & ~scl[b] == 0
+            assert sint[a] & ~sint[b] == 0

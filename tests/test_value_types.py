@@ -71,6 +71,13 @@ def test_a_bare_string_of_hypotheses_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("assignment", [(0.5, 1), (1, "0"), (1, None)])
+def test_point_map_refuses_a_non_integer_target(assignment):
+    # accepted, it would fail only when the image table first fills
+    with pytest.raises(ValueError, match="is not an integer"):
+        PointMap(U2, U2, assignment)
+
+
 @pytest.mark.parametrize("make, make_again", EQUAL_PAIRS)
 def test_equal_values_compare_and_hash_equal(make, make_again):
     first, second = make(), make_again()
