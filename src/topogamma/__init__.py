@@ -7,8 +7,8 @@ an executable claims registry against exhaustively enumerated instances,
 with counterexample search and a deterministic audit report.
 
 Each operator is a power-set table cached on `Topology`, `GammaSpace` or
-`SemistarContext` and indexed by mask; `Universe.check` validates a mask
-that comes from outside the program.
+`InteriorTables` (a context's `tables`) and indexed by mask;
+`Universe.check` validates a mask that comes from outside the program.
 """
 
 from .core import (
@@ -44,7 +44,7 @@ from .ops import (
     gamma_builtin,
     gamma_from_table,
 )
-from .semistar import SemistarContext
+from .semistar import InteriorTables, SemistarContext
 from .registry import Claim, EvalOptions, Verdict, get_claim, list_claims
 from .claims import (
     AuditReport,

@@ -37,10 +37,11 @@ from .ops import OPERATION_DOMAINS
 from .semistar import SemistarContext
 
 SHOW_WHAT = ("tau-gamma", "so", "sc", "scl", "sint", "sbd", "sext", "classify")
-# the operators that take --set, each the context table it reads; the
-# semi-exterior of A is the semi-interior of X - A
+# the operators that take --set, then the families, each by the table of
+# `ctx.tables` it reads; the semi-exterior of A is the semi-interior of X - A
 _SET_TABLES = {"scl": "scl_table", "sint": "sint_table", "sbd": "sbd_table",
                "sext": "sint_table"}
+_FAMILIES = {"tau-gamma": "tau_gamma", "so": "so_family", "sc": "sc_family"}
 _SR_HELP = ("reading of the semi-regular hypothesis: cap (intersection form) or "
             "cup (union form). cup holds for every operation (take w = u), so "
             "under cup the hypothesis gates nothing")
@@ -127,7 +128,7 @@ def _cmd_show(args) -> int:
     universe = ctx.universe
     if takes_set:
         mask = parse_set(args.set_literal, universe)
-        table = getattr(ctx, _SET_TABLES[what])
+        table = getattr(ctx.tables, _SET_TABLES[what])
         value = table[ctx.full ^ mask if what == "sext" else mask]
         payload = {
             "what": what,
@@ -137,13 +138,7 @@ def _cmd_show(args) -> int:
         }
         _emit(payload, args.json, universe.format_set(value))
         return 0
-    if what == "tau-gamma":
-        family = ctx.space.tau_gamma
-    elif what == "so":
-        family = ctx.so_family
-    elif what == "sc":
-        family = ctx.sc_family
-    else:  # classify
+    if what == "classify":
         space = ctx.space
         payload = {
             "what": "classify",
@@ -159,6 +154,7 @@ def _cmd_show(args) -> int:
         )
         _emit(payload, args.json, text)
         return 0
+    family = getattr(ctx.tables, _FAMILIES[what])
     payload = {
         "what": what,
         "family": family_to_labels(universe, family),

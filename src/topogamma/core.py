@@ -102,9 +102,11 @@ class Universe(FrozenValue):
     def check(self, mask: Mask) -> Mask:
         """Return `mask` when it is a subset of the universe, else raise
         MaskOutOfRange. The operator tables of `Topology`, `GammaSpace`,
-        `SemistarContext` and `PointMap` are indexed by mask without a
-        check, so a mask from outside the program goes through here first."""
-        if mask < 0 or mask & ~self.full:
+        `InteriorTables` and `PointMap` are indexed by mask without a
+        check, so a mask from outside the program goes through here first;
+        a value whose type is not exactly int (a bool, a float, a string) is
+        refused too."""
+        if type(mask) is not int or mask < 0 or mask & ~self.full:
             raise MaskOutOfRange(mask, self.size)
         return mask
 

@@ -6,10 +6,12 @@ class EngineError(Exception):
 
 
 class MaskOutOfRange(EngineError):
-    """A subset mask has bits set beyond the universe size."""
+    """A subset mask has bits set beyond the universe size, is negative, or
+    is not an int."""
 
-    def __init__(self, mask: int, size: int):
-        super().__init__(f"mask {bin(mask)} does not fit a {size}-point universe")
+    def __init__(self, mask, size: int):
+        shown = bin(mask) if type(mask) is int else repr(mask)
+        super().__init__(f"mask {shown} does not fit a {size}-point universe")
         self.mask = mask
         self.size = size
 

@@ -1,29 +1,27 @@
-"""Operators induced by an operation on a space, as tables over the power
-set: gamma-interior, the two gamma-closures, the gamma-open and gamma-closed
-families, and the operation-class flags.
+"""The tables of an expansive operation on a space that read the operation
+itself: the pointwise gamma-interior, the pointwise semi-interior and the
+operation-class flags.
 
-Two closures coexist on purpose. The pointwise closure collects the points
-whose every open neighborhood has an image meeting the set. The lattice
-closure is the meet of all gamma-closed supersets (complements of gamma-open
-sets). They agree for the identity operation but not in general, and several
-of the audited worked examples are only reproducible under the lattice one,
-so a `SemistarContext` pins one of them for every operator it derives.
+Every other gamma table (tau_gamma, both closures, the semi-open
+machinery) is fixed by the pointwise interior table and one closure
+variant, so it lives on `semistar.InteriorTables`, which operations with
+equal interior tables share.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
 
-from .core import Mask, Topology, dual_table, image_joins
+from .core import Mask, Topology, image_joins
 from .ops import GammaOperation
 
 CLOSURE_VARIANTS = ("pointwise", "lattice")
 
 
 class GammaSpace:
-    """A topology paired with an operation; caches the derived tables and
-    the operation-class flags, each decided by exhaustive check the first
-    time it is read.
+    """A topology paired with an operation; caches the pointwise interior
+    and semi-interior tables and the operation-class flags, each decided
+    by exhaustive check the first time it is read.
 
     regular: any two open neighborhoods of a point dominate a third one's
     image (intersection form). open_op: every open neighborhood image
@@ -39,19 +37,11 @@ class GammaSpace:
     share between threads.
     """
 
-    # shared by operations on one topology (semistar.shared_contexts): the
-    # images of the opens give the pointwise interior table, which gives the
-    # rest; the flags are shared by equal operation tables
-    SHARED_BY_INTERIOR = ("int_pointwise_table", "tau_gamma", "tau_gamma_set",
-                          "gamma_closed_family", "cl_pointwise_table", "cl_lattice_table",
-                          "int_lattice_table")
-    SHARED_BY_TABLE = ("regular", "open_op", "monotone", "semi_regular_cap", "semi_open_op")
-
     def __init__(self, topology: Topology, gamma: GammaOperation):
         if len(gamma.table) != topology.full + 1:
             raise ValueError("operation table does not cover the power set of the universe")
-        # the interior and closure kernels below rely on V inside gamma(V)
-        # for every open V, so the table itself is checked, not its flag
+        # the interior kernel and every table built on it rely on V inside
+        # gamma(V) for every open V, so the table itself is checked, not its flag
         if any(v & ~gamma.table[v] for v in topology.opens):
             raise ValueError("operation must be expansive on the open sets")
         self.topology = topology
@@ -70,33 +60,11 @@ class GammaSpace:
         return image_joins(self.topology.opens, self.gamma.table)
 
     @cached_property
-    def tau_gamma(self) -> tuple[Mask, ...]:
-        table = self.int_pointwise_table
-        return tuple([a for a, b in enumerate(table) if a == b])
-
-    @cached_property
-    def tau_gamma_set(self) -> frozenset:
-        return frozenset(self.tau_gamma)
-
-    @cached_property
-    def gamma_closed_family(self) -> tuple[Mask, ...]:
-        # also the sets A with cl(A) inside A: int is deflationary, so that
-        # holds iff X - A fits in int(X - A), i.e. X - A is gamma-open
-        return tuple(sorted(self.full ^ o for o in self.tau_gamma))
-
-    @cached_property
-    def cl_pointwise_table(self) -> tuple[Mask, ...]:
-        # x misses cl(A) when some open V around it has gamma(V) inside X - A
-        return dual_table(self.int_pointwise_table)
-
-    @cached_property
-    def cl_lattice_table(self) -> tuple[Mask, ...]:
-        # gamma-closed sets are the complements of the gamma-open ones
-        return dual_table(self.int_lattice_table)
-
-    @cached_property
-    def int_lattice_table(self) -> tuple[Mask, ...]:
-        return image_joins(self.tau_gamma, range(self.full + 1))
+    def sint_pointwise_table(self) -> tuple[Mask, ...]:
+        # the points of A lying in a classically semi-open U with image(U)
+        # inside A
+        joins = image_joins(self.topology.semi_opens, self.gamma.table)
+        return tuple(a & j for a, j in enumerate(joins))
 
     # operation-class flags -------------------------------------------
     def _regular_over(self, family: tuple[Mask, ...]) -> bool:
@@ -121,9 +89,17 @@ class GammaSpace:
 
     @cached_property
     def open_op(self) -> bool:
-        # the gamma-opens inside image(U) cover U: U fits in its lattice interior
-        tab, interior = self.gamma.table, self.int_lattice_table
-        return all(u & ~interior[tab[u]] == 0 for u in self.topology.opens)
+        # the gamma-opens inside image(U) cover U: U fits in the lattice
+        # interior of image(U), the pointwise interior iterated to its fixed
+        # point (README, "Derived facts")
+        tab, interior = self.gamma.table, self.int_pointwise_table
+        for u in self.topology.opens:
+            a = tab[u]
+            while interior[a] != a:
+                a = interior[a]
+            if u & ~a:
+                return False
+        return True
 
     @cached_property
     def monotone(self) -> bool:

@@ -116,8 +116,8 @@ class MapCheck(NamedTuple):
 def is_gamma_semi_continuous(instance: MapInstance) -> MapCheck:
     """Preimages of codomain gamma-open sets are semi-open in the domain."""
     pre = instance.map.preimage_table
-    so_x = instance.domain_ctx.so_set
-    for b in instance.codomain_ctx.space.tau_gamma:
+    so_x = instance.domain_ctx.tables.so_set
+    for b in instance.codomain_ctx.tables.tau_gamma:
         if pre[b] not in so_x:
             return MapCheck(False, b)
     return MapCheck(True, None)
@@ -126,8 +126,8 @@ def is_gamma_semi_continuous(instance: MapInstance) -> MapCheck:
 def is_gamma_semi_open_map(instance: MapInstance) -> MapCheck:
     """Images of domain gamma-open sets are semi-open in the codomain."""
     img = instance.map.image_table
-    so_y = instance.codomain_ctx.so_set
-    for u in instance.domain_ctx.space.tau_gamma:
+    so_y = instance.codomain_ctx.tables.so_set
+    for u in instance.domain_ctx.tables.tau_gamma:
         if img[u] not in so_y:
             return MapCheck(False, u)
     return MapCheck(True, None)

@@ -156,18 +156,18 @@ def _mask_clauses(ctx: SemistarContext) -> Iterator[tuple]:
 
 
 def _so_pairs(ctx: SemistarContext) -> Iterator[tuple]:
-    for a in ctx.so_family:
-        for b in ctx.so_family:
+    for a in ctx.tables.so_family:
+        for b in ctx.tables.so_family:
             yield (a, b)
 
 
 def _sc_singles(ctx: SemistarContext) -> Iterator[tuple]:
-    for a in ctx.sc_family:
+    for a in ctx.tables.sc_family:
         yield (a,)
 
 
 def _so_with_supersets(ctx: SemistarContext) -> Iterator[tuple]:
-    for a in ctx.so_family:
+    for a in ctx.tables.so_family:
         for b in supersets(a, ctx.full):
             yield (a, b)
 
@@ -175,18 +175,18 @@ def _so_with_supersets(ctx: SemistarContext) -> Iterator[tuple]:
 def _subset_of_sc(ctx: SemistarContext) -> Iterator[tuple]:
     for a in range(ctx.full + 1):
         for b in supersets(a, ctx.full):
-            if b in ctx.sc_set:
+            if b in ctx.tables.sc_set:
                 yield (a, b)
 
 
 def _tau_disjoint(ctx: SemistarContext) -> Iterator[tuple]:
-    for a in ctx.space.tau_gamma:
+    for a in ctx.tables.tau_gamma:
         for b in submasks(ctx.full ^ a):
             yield (a, b)
 
 
 def _so_singles_x(inst: MapInstance) -> Iterator[tuple]:
-    for a in inst.domain_ctx.so_family:
+    for a in inst.domain_ctx.tables.so_family:
         yield (a,)
 
 
@@ -223,18 +223,19 @@ _CONTEXT = "context"
 # per interior reading where the reading matters.
 _VOCABULARY = {
     "full": ("ctx.full", _FAMILY),
-    "so": ("ctx.so_set", _FAMILY),
-    "sc": ("ctx.sc_set", _FAMILY),
-    "scl": ("ctx.scl_table", _FAMILY),
-    "sint": ("ctx.sint_table", _FAMILY),
-    "sbd": ("ctx.sbd_table", _FAMILY),
+    "so": ("ctx.tables.so_set", _FAMILY),
+    "sc": ("ctx.tables.sc_set", _FAMILY),
+    "scl": ("ctx.tables.scl_table", _FAMILY),
+    "sint": ("ctx.tables.sint_table", _FAMILY),
+    "sbd": ("ctx.tables.sbd_table", _FAMILY),
     # the semi-interior of the interior reading the T3.26 claims run under
-    "si": ("ctx.sint_table if opt.interior_reading == 'lattice' else ctx.sint_pointwise_table",
+    "si": ("ctx.tables.sint_table if opt.interior_reading == 'lattice' "
+           "else ctx.space.sint_pointwise_table",
            {"lattice": _FAMILY, "pointwise": _SPACE}),
-    "tau": ("ctx.space.tau_gamma", _SPACE),
-    "cl": ("ctx.cl_table", _CONTEXT),
-    "int": ("ctx.int_table", _CONTEXT),
-    "bd": ("ctx.bd_table", _CONTEXT),
+    "tau": ("ctx.tables.tau_gamma", _SPACE),
+    "cl": ("ctx.tables.cl_table", _CONTEXT),
+    "int": ("ctx.tables.int_table", _CONTEXT),
+    "bd": ("ctx.tables.bd_table", _CONTEXT),
     "sandwich_closed": (None, _CONTEXT),
     "int_of_cl_closed": (None, _CONTEXT),
     "ctx": (None, _CONTEXT),
@@ -303,7 +304,7 @@ class _Term:
         so concurrent fills of one key store the same value."""
         if not self.family_only[opt.interior_reading]:
             return self.sweep(ctx, opt, bindings)
-        key = ctx.so_family
+        key = ctx.tables.so_family
         if key not in self.memo:
             self.memo[key] = self.sweep(ctx, opt, bindings)
         return self.memo[key]
@@ -323,12 +324,12 @@ def _pointwise_continuity(inst: MapInstance) -> bool:
     # a semi-open A holding x has f(A) inside B exactly when A lies inside
     # f^-1(B), so f is pointwise continuous iff every f^-1(B) is its own
     # semi-interior
-    sint, pre = inst.domain_ctx.sint_table, inst.map.preimage_table
-    return all(sint[pre[b]] == pre[b] for b in inst.codomain_ctx.space.tau_gamma)
+    sint, pre = inst.domain_ctx.tables.sint_table, inst.map.preimage_table
+    return all(sint[pre[b]] == pre[b] for b in inst.codomain_ctx.tables.tau_gamma)
 
 
 def _open_map_imageside(inst: MapInstance) -> bool:
-    X, Y, img = inst.domain_ctx, inst.codomain_ctx, inst.map.image_table
+    X, Y, img = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map.image_table
     int_x, cl_y, int_y = X.int_table, Y.cl_table, Y.int_table
     for e in range(X.full + 1):
         if img[int_x[e]] & ~cl_y[int_y[img[e]]]:
@@ -337,7 +338,7 @@ def _open_map_imageside(inst: MapInstance) -> bool:
 
 
 def _open_map_preimageside(inst: MapInstance) -> bool:
-    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    X, Y, pre = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map.preimage_table
     int_x, cl_x, int_y = X.int_table, X.cl_table, Y.int_table
     for g in range(Y.full + 1):
         if int_x[pre[g]] & ~cl_x[pre[int_y[g]]]:
@@ -346,37 +347,37 @@ def _open_map_preimageside(inst: MapInstance) -> bool:
 
 
 def _scl_image_side(inst: MapInstance) -> bool:
-    X, Y, img = inst.domain_ctx, inst.codomain_ctx, inst.map.image_table
+    X, Y, img = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map.image_table
     scl_x, cl_y = X.scl_table, Y.cl_table
     return all(img[scl_x[a]] & ~cl_y[img[a]] == 0 for a in range(X.full + 1))
 
 
 def _boundary_preimage_side(inst: MapInstance) -> bool:
-    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    X, Y, pre = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map.preimage_table
     sbd_x, bd_y = X.sbd_table, Y.bd_table
     return all(sbd_x[pre[b]] & ~pre[bd_y[b]] == 0 for b in range(Y.full + 1))
 
 
 def _t49_side(inst: MapInstance) -> bool:
-    scl_x, cl_x = inst.domain_ctx.scl_table, inst.domain_ctx.cl_table
+    scl_x, cl_x = inst.domain_ctx.tables.scl_table, inst.domain_ctx.tables.cl_table
     return all(scl_x[p] & ~cl_x[p] == 0 for p in inst.map.preimage_table)
 
 
 def _t49p_side(inst: MapInstance) -> bool:
-    X, Y, pm = inst.domain_ctx, inst.codomain_ctx, inst.map
+    X, Y, pm = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map
     img, pre, scl_x, cl_y = pm.image_table, pm.preimage_table, X.scl_table, Y.cl_table
     return all(img[scl_x[pre[g]]] & ~cl_y[g] == 0 for g in range(Y.full + 1))
 
 
 def _t413_side(inst: MapInstance) -> bool:
-    X, Y, pre = inst.domain_ctx, inst.codomain_ctx, inst.map.preimage_table
+    X, Y, pre = inst.domain_ctx.tables, inst.codomain_ctx.tables, inst.map.preimage_table
     sbd_y, bd_x = Y.sbd_table, X.bd_table
     return all(pre[sbd_y[c]] & ~bd_x[pre[c]] == 0 for c in range(Y.full + 1))
 
 
 def _t47(inst, opt, b):
     (a,) = b
-    return inst.map.image_table[a] in inst.codomain_ctx.so_set
+    return inst.map.image_table[a] in inst.codomain_ctx.tables.so_set
 
 
 # --- worked-example values: computed(ctx, opt) -------------------------------------
@@ -401,11 +402,11 @@ def _semi_regular(ctx, opt):
 
 
 def _tau(ctx, opt):
-    return ctx.space.tau_gamma
+    return ctx.tables.tau_gamma
 
 
 def _so(ctx, opt):
-    return ctx.so_family
+    return ctx.tables.so_family
 
 
 def _classical_so(ctx, opt):
@@ -425,13 +426,13 @@ _EXAMPLES = (
     ("E3.2c", "F1", "interval sweep over the reported gamma-open family with lattice closure "
      "reproduces the reported semi-open family",
      lambda ctx, opt: _reported_sweep(_F1_TAU, 7), (0, 1, 3, 5, 7)),
-    ("E3.2d", "F1", "{a,b} is semi-open", lambda ctx, opt: 3 in ctx.so_set, True),
+    ("E3.2d", "F1", "{a,b} is semi-open", lambda ctx, opt: 3 in ctx.tables.so_set, True),
     ("E3.2e", "F1", "{a,b} is not gamma-open",
-     lambda ctx, opt: 3 in ctx.space.tau_gamma_set, False),
-    ("E3.2f", "F1", "cl_g({a}) = X", lambda ctx, opt: ctx.cl_table[1], "{a,b,c}"),
+     lambda ctx, opt: 3 in ctx.tables.tau_gamma, False),
+    ("E3.2f", "F1", "cl_g({a}) = X", lambda ctx, opt: ctx.tables.cl_table[1], "{a,b,c}"),
     ("E3.3a", "F2", "reported gamma-open family {{},{a},{b},{a,b},X} matches the computed one",
      _tau, _F2_TAU),
-    ("E3.3b", "F2", "{b,c} is semi-open", lambda ctx, opt: 6 in ctx.so_set, True),
+    ("E3.3b", "F2", "{b,c} is semi-open", lambda ctx, opt: 6 in ctx.tables.so_set, True),
     ("E3.3c", "F2", "{b,c} is not classically semi-open",
      lambda ctx, opt: 6 in _classical_so(ctx, opt), False),
     ("E3.3d", "F2", "interval sweep over the reported gamma-open family with lattice closure "
@@ -441,7 +442,7 @@ _EXAMPLES = (
      _tau, (0, 2, 3, 5, 7)),
     ("E3.4b", "F3", "{a} is classically semi-open",
      lambda ctx, opt: 1 in _classical_so(ctx, opt), True),
-    ("E3.4c", "F3", "{a} is not semi-open", lambda ctx, opt: 1 in ctx.so_set, False),
+    ("E3.4c", "F3", "{a} is not semi-open", lambda ctx, opt: 1 in ctx.tables.so_set, False),
     ("E3.23a", "F4", "classical semi-open family is {{},{a},{a,b},{a,c},X}",
      _classical_so, (0, 1, 3, 5, 7)),
     ("E3.23b", "F4", "the closure operation is not semi-regular", _semi_regular, False,
@@ -451,7 +452,7 @@ _EXAMPLES = (
     ("E3.25a", "F5", "reported semi-open family {{},{a},{c},{a,b},{b,c},X} matches the computed one",
      _so, (0, 1, 3, 4, 6, 7)),
     ("E3.25b", "F5", "{a,b} and {b,c} are semi-open but their intersection {b} is not",
-     lambda ctx, opt: 3 in ctx.so_set and 6 in ctx.so_set and 2 not in ctx.so_set, True),
+     lambda ctx, opt: {3, 6} <= ctx.tables.so_set and 2 not in ctx.tables.so_set, True),
     ("E3.25c", "F5", "the interior-of-closure operation is not semi-regular", _semi_regular, False),
 )
 

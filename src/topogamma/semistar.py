@@ -1,57 +1,71 @@
-"""The starred semi operators, as families and power-set tables cached on a
-context: the semi-open family generated by gamma-open intervals, the
-semi-closed family, semi-closure, semi-interior (lattice and pointwise
-readings) and semi-boundary; and the two closedness readings the claims
-registry compares with membership in the semi-closed family.
+"""The tables a pointwise gamma-interior table fixes under one closure
+variant, on one shared `InteriorTables`: tau_gamma, the gamma-closed
+family, the variant's gamma-interior, closure and boundary, and the
+starred semi operators (the semi-open family generated by gamma-open
+intervals, the semi-closed family, semi-closure, semi-interior and
+semi-boundary). A `SemistarContext` pairs one space with them.
 
-A context pins one closure variant for the whole operator suite; comparing
+Two closures coexist on purpose: the pointwise one collects the points
+whose every open neighborhood has an image meeting the set, the lattice
+one is the meet of the gamma-closed supersets. They differ for some
+operations, and several audited worked examples hold only under the
+lattice one, so a context pins one variant for every operator; comparing
 variants is the claims engine's job, never an operator's.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import cached_property
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .core import Mask, Topology, dual_table, image_joins, interval_family
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .ops import GammaOperation
 
 
-class SemistarContext:
-    """A space plus a pinned closure variant, with cached derived families."""
+class InteriorTables:
+    """The tables that `int_pointwise_table`, a pointwise gamma-interior
+    table on `topology`, fixes under `closure_variant`, each filled the
+    first time it is read. They read no operation, so operations with
+    equal interior tables share one instance (`shared_contexts`); like a
+    `GammaSpace`, an instance is safe to share between threads."""
 
-    # shared like GammaSpace's; the pointwise semi-interior reads the table
-    SHARED_BY_INTERIOR = ("cl_table", "int_table", "bd_table", "so_family", "so_set",
-                          "sc_family", "sc_set", "sint_table", "scl_table", "sbd_table")
-    SHARED_BY_TABLE = ("sint_pointwise_table",)
-
-    def __init__(self, space: GammaSpace, closure_variant: str = "pointwise"):
+    def __init__(self, topology: Topology, int_pointwise_table: tuple[Mask, ...],
+                 closure_variant: str):
         if closure_variant not in CLOSURE_VARIANTS:
             raise ValueError(
                 f"unknown closure variant {closure_variant!r}, expected one of {CLOSURE_VARIANTS}"
             )
-        self.space = space
+        self.topology = topology
+        self.int_pointwise_table = int_pointwise_table
         self.closure_variant = closure_variant
-        self.universe = space.universe
-        self.full: Mask = space.full
+        self.universe = topology.universe
+        self.full: Mask = topology.full
 
-    def describe(self) -> str:
-        return f"{self.space.describe()} closure={self.closure_variant}"
+    @cached_property
+    def tau_gamma(self) -> tuple[Mask, ...]:
+        table = self.int_pointwise_table
+        return tuple([a for a, b in enumerate(table) if a == b])
+
+    @cached_property
+    def gamma_closed_family(self) -> tuple[Mask, ...]:
+        # also the sets A with cl(A) inside A: int is deflationary, so that
+        # holds iff X - A fits in int(X - A), i.e. X - A is gamma-open
+        return tuple(sorted(self.full ^ o for o in self.tau_gamma))
 
     # variant-matched base operators ------------------------------------
     @cached_property
-    def cl_table(self) -> tuple[Mask, ...]:
-        if self.closure_variant == "pointwise":
-            return self.space.cl_pointwise_table
-        return self.space.cl_lattice_table
-
-    @cached_property
     def int_table(self) -> tuple[Mask, ...]:
         if self.closure_variant == "pointwise":
-            return self.space.int_pointwise_table
-        return self.space.int_lattice_table
+            return self.int_pointwise_table
+        return image_joins(self.tau_gamma, range(self.full + 1))
+
+    @cached_property
+    def cl_table(self) -> tuple[Mask, ...]:
+        # x misses the pointwise cl(A) when some open V around it has
+        # gamma(V) inside X - A; the lattice closed sets are the complements
+        # of the gamma-open ones
+        return dual_table(self.int_table)
 
     @cached_property
     def bd_table(self) -> tuple[Mask, ...]:
@@ -64,7 +78,7 @@ class SemistarContext:
         # one interval [O, cl(O)] per gamma-open O; the union of the
         # intervals is the whole family
         return interval_family(
-            (o, self.cl_table[o]) for o in self.space.tau_gamma
+            (o, self.cl_table[o]) for o in self.tau_gamma
         )
 
     @cached_property
@@ -92,57 +106,57 @@ class SemistarContext:
     def sint_table(self) -> tuple[Mask, ...]:
         return image_joins(self.so_family, range(self.full + 1))
 
-    @cached_property
-    def sint_pointwise_table(self) -> tuple[Mask, ...]:
-        # the points of A lying in a classically semi-open U with image(U)
-        # inside A
-        joins = image_joins(self.space.topology.semi_opens, self.space.gamma.table)
-        return tuple(a & j for a, j in enumerate(joins))
 
+class SemistarContext:
+    """A space plus a pinned closure variant and `tables`, the
+    `InteriorTables` of its pointwise interior table under that variant.
+    The search stream passes tables shared with other operations; any
+    other caller gets fresh ones."""
 
-# the (GammaSpace, SemistarContext) names an equal key of each kind shares
-_BY_TABLE = (GammaSpace.SHARED_BY_TABLE, SemistarContext.SHARED_BY_TABLE)
-_BY_INTERIOR = (GammaSpace.SHARED_BY_INTERIOR, SemistarContext.SHARED_BY_INTERIOR)
+    def __init__(self, space: GammaSpace, closure_variant: str = "pointwise",
+                 tables: Optional[InteriorTables] = None):
+        if tables is None:
+            tables = InteriorTables(space.topology, space.int_pointwise_table, closure_variant)
+        if tables.closure_variant != closure_variant:
+            raise ValueError("the tables were built under another closure variant")
+        self.space = space
+        self.closure_variant = closure_variant
+        self.universe = space.universe
+        self.full: Mask = space.full
+        self.tables = tables
 
-
-def _share(caches: tuple, pool: tuple, names: tuple) -> None:
-    for cache, values, keep in zip(caches, pool, names):
-        for name in cache.keys() & keep:
-            values[name] = cache[name]
+    def describe(self) -> str:
+        return f"{self.space.describe()} closure={self.closure_variant}"
 
 
 def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
                     closure_variant: str) -> Iterator[SemistarContext]:
-    """One context per operation on `topology`, in order, each starting with
-    the declared values filled on those with its table or interior table."""
+    """One context per operation on `topology`, in order; contexts whose
+    pointwise interior tables are equal hold the same `InteriorTables`."""
     by_images: dict = {}
-    tables: dict = defaultdict(lambda: ({}, {}))
-    interiors: dict = defaultdict(lambda: ({}, {}))
+    by_interior: dict = {}
     for op in operations:
         space = GammaSpace(topology, op)
-        ctx = SemistarContext(space, closure_variant)
-        caches = (vars(space), vars(ctx))
         images = tuple([op.table[v] for v in topology.opens])
-        interior = by_images.get(images)
-        if interior is None:
+        tables = by_images.get(images)
+        if tables is None:
             # other images may give an interior table seen before
-            interior = by_images[images] = space.int_pointwise_table
-        table_pool, interior_pool = tables[op.table], interiors[interior]
-        for pool in (table_pool, interior_pool):
-            for cache, values in zip(caches, pool):
-                cache.update(values)
-        yield ctx
-        # a context's fills are collected when the next one is asked for
-        _share(caches, table_pool, _BY_TABLE)
-        _share(caches, interior_pool, _BY_INTERIOR)
+            interior = space.int_pointwise_table
+            tables = by_interior.get(interior)
+            if tables is None:
+                tables = InteriorTables(topology, interior, closure_variant)
+                by_interior[interior] = tables
+            by_images[images] = tables
+        yield SemistarContext(space, closure_variant, tables)
 
 
 def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
     """Some gamma-closed F has int_g(F) inside `mask` inside F (unchecked)."""
-    int_g = ctx.int_table
-    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.space.gamma_closed_family)
+    int_g = ctx.tables.int_table
+    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.tables.gamma_closed_family)
 
 
 def int_of_cl_closed(ctx: SemistarContext, mask: Mask) -> bool:
     """int_g(cl_g(`mask`)) stays inside `mask` (unchecked)."""
-    return ctx.int_table[ctx.cl_table[mask]] & ~mask == 0
+    tables = ctx.tables
+    return tables.int_table[tables.cl_table[mask]] & ~mask == 0

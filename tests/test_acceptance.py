@@ -57,11 +57,11 @@ def test_criterion_1_fixture_reproduction():
         # F3: {a} is classically semi-open yet not starred semi-open
         assert A in semi_open_family(catalog["F3"].topology)
         for variant in VARIANTS:
-            assert A not in SemistarContext(catalog["F3"], variant).so_set
+            assert A not in SemistarContext(catalog["F3"], variant).tables.so_set
         # F5: {a,b} and {b,c} are starred semi-open, {b} is not
         for variant in VARIANTS:
             ctx = SemistarContext(catalog["F5"], variant)
-            fam = ctx.so_set
+            fam = ctx.tables.so_set
             assert AB in fam and BC in fam and B not in fam
 
     _report(1, "fixture reproduction", body)
@@ -119,11 +119,12 @@ def test_criterion_4_identity_degeneration():
         for n in (1, 2, 3, 4):
             for topology in enumerate_topologies(n):
                 space = GammaSpace(topology, gamma_builtin("identity", topology))
-                assert space.tau_gamma == topology.opens
-                assert space.cl_pointwise_table == topology.closure_table
+                tables = SemistarContext(space, "pointwise").tables
+                assert tables.tau_gamma == topology.opens
+                assert tables.cl_table == topology.closure_table
                 classical = semi_open_family(topology)
                 for variant in VARIANTS:
-                    assert SemistarContext(space, variant).so_family == classical
+                    assert SemistarContext(space, variant).tables.so_family == classical
 
     _report(4, "identity degeneration", body)
 

@@ -102,11 +102,11 @@ class TestClassicalOperators:
             for mask in range(8):
                 assert t.closure_table[mask] == oracle_closure(t, mask)
 
-    @pytest.mark.parametrize("mask", [-1, X + 1, 2 * (X + 1)])
+    @pytest.mark.parametrize("mask", [-1, X + 1, 2 * (X + 1), 0.5, "3", None, True])
     def test_mask_out_of_range(self, mask):
         # the tables index by mask unchecked; masks from outside go
-        # through Universe.check
-        with pytest.raises(MaskOutOfRange):
+        # through Universe.check, which takes only a value of type int
+        with pytest.raises(MaskOutOfRange, match="does not fit a 3-point universe"):
             U3.check(mask)
 
 

@@ -1,4 +1,5 @@
-"""Gamma-interior, the two gamma-closures, gamma-open family, boundary."""
+"""Gamma-interior, the two gamma-closures, gamma-open family, boundary: the
+pointwise interior on GammaSpace, the rest on a context's InteriorTables."""
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +15,14 @@ from topogamma import (
 from conftest import gamma_spaces
 
 EMPTY, A, B, AB, C, AC, BC, X = 0, 1, 2, 3, 4, 5, 6, 7
+
+
+def pointwise(space):
+    return SemistarContext(space, "pointwise").tables
+
+
+def lattice(space):
+    return SemistarContext(space, "lattice").tables
 
 
 class TestIntGamma:
@@ -36,75 +45,75 @@ class TestIntGamma:
 
 class TestGammaOpenFamily:
     def test_f5_equals_tau3(self, f5):
-        assert f5.tau_gamma == (EMPTY, A, C, AC, X)
+        assert pointwise(f5).tau_gamma == (EMPTY, A, C, AC, X)
 
     def test_identity_gives_opens(self, fid):
-        assert fid.tau_gamma == fid.topology.opens
+        assert pointwise(fid).tau_gamma == fid.topology.opens
 
     def test_f1_computed_family(self, catalog):
         # the full tau1: every open already fixes int_gamma here; the
         # smaller family the audit compares against is claim E3.2a
-        assert catalog["F1"].tau_gamma == (EMPTY, A, B, AB, AC, X)
+        assert pointwise(catalog["F1"]).tau_gamma == (EMPTY, A, B, AB, AC, X)
 
     def test_members_are_fixed_points(self, catalog):
         for space in catalog.values():
-            fam = space.tau_gamma
+            fam = pointwise(space).tau_gamma
             assert EMPTY in fam and X in fam
             assert all(space.int_pointwise_table[m] == m for m in fam)
 
 
 class TestClosures:
     def test_identity_degenerates_to_closure(self, fid):
-        assert fid.cl_pointwise_table == fid.topology.closure_table
-        assert fid.cl_lattice_table == fid.topology.closure_table
+        assert pointwise(fid).cl_table == fid.topology.closure_table
+        assert lattice(fid).cl_table == fid.topology.closure_table
 
     def test_f5_pointwise(self, f5):
-        assert f5.cl_pointwise_table[A] == AB
-        assert f5.cl_pointwise_table[EMPTY] == EMPTY
+        assert pointwise(f5).cl_table[A] == AB
+        assert pointwise(f5).cl_table[EMPTY] == EMPTY
 
     def test_f5_lattice(self, f5):
-        assert f5.cl_lattice_table[C] == BC
+        assert lattice(f5).cl_table[C] == BC
 
     def test_lattice_examples_identity(self, fid):
-        assert fid.cl_lattice_table[A] == AC
+        assert lattice(fid).cl_table[A] == AC
 
     def test_pointwise_inside_lattice(self, catalog):
         for space in catalog.values():
             for mask in range(8):
-                assert space.cl_pointwise_table[mask] & ~space.cl_lattice_table[mask] == 0
+                assert pointwise(space).cl_table[mask] & ~lattice(space).cl_table[mask] == 0
 
     def test_int_lattice(self, fid, f5):
-        assert fid.int_lattice_table == fid.topology.interior_table
-        assert f5.int_lattice_table[AB] == A
-        assert f5.int_lattice_table[B] == EMPTY
+        assert lattice(fid).int_table == fid.topology.interior_table
+        assert lattice(f5).int_table[AB] == A
+        assert lattice(f5).int_table[B] == EMPTY
 
 
 class TestGammaClosed:
     def test_complement_variant(self, fid, f5):
-        assert C in fid.gamma_closed_family
-        assert BC in f5.gamma_closed_family
+        assert C in pointwise(fid).gamma_closed_family
+        assert BC in pointwise(f5).gamma_closed_family
 
     def test_pointwise_variant(self, f5):
         # {a} is not gamma-closed: its pointwise closure leaves it
-        assert A not in f5.gamma_closed_family
-        assert f5.cl_pointwise_table[A] & ~A
+        assert A not in pointwise(f5).gamma_closed_family
+        assert pointwise(f5).cl_table[A] & ~A
 
 
 class TestBoundary:
     # the gamma-boundary is the context's bd_table, under its closure
     def test_identity(self, fid):
-        assert SemistarContext(fid).bd_table[A] == C
+        assert SemistarContext(fid).tables.bd_table[A] == C
 
     def test_f5(self, f5):
-        assert SemistarContext(f5).bd_table[A] == B
+        assert SemistarContext(f5).tables.bd_table[A] == B
 
     def test_whole_space(self, catalog):
         for space in catalog.values():
-            assert SemistarContext(space).bd_table[X] == EMPTY
+            assert SemistarContext(space).tables.bd_table[X] == EMPTY
 
     def test_lattice_variant(self, f5):
-        cl = f5.cl_lattice_table
-        assert SemistarContext(f5, "lattice").bd_table[A] == cl[A] & cl[BC]
+        cl = lattice(f5).cl_table
+        assert SemistarContext(f5, "lattice").tables.bd_table[A] == cl[A] & cl[BC]
 
 
 class TestSpaceValidation:
@@ -130,8 +139,8 @@ def test_identity_degeneration_all_small_topologies():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
             space = GammaSpace(t, gamma_builtin("identity", t))
-            assert space.tau_gamma == t.opens
-            assert space.cl_pointwise_table == t.closure_table
+            assert pointwise(space).tau_gamma == t.opens
+            assert pointwise(space).cl_table == t.closure_table
             assert space.int_pointwise_table == t.interior_table
 
 
@@ -147,7 +156,7 @@ def test_tau_gamma_intersection_report():
             if not (space.monotone and space.regular):
                 continue
             checked += 1
-            fam = space.tau_gamma_set
+            fam = frozenset(pointwise(space).tau_gamma)
             for x in fam:
                 for y in fam:
                     if (x & y) not in fam:
@@ -162,11 +171,11 @@ def test_tau_gamma_intersection_report():
 @settings(max_examples=100, deadline=None)
 def test_gamma_operator_laws(space):
     full = space.full
-    fam = space.tau_gamma_set
+    fam = frozenset(pointwise(space).tau_gamma)
     for mask in range(full + 1):
         assert space.int_pointwise_table[mask] & ~mask == 0
-        assert mask & ~space.cl_pointwise_table[mask] == 0
-    assert space.cl_pointwise_table[0] == 0
+        assert mask & ~pointwise(space).cl_table[mask] == 0
+    assert pointwise(space).cl_table[0] == 0
     # the gamma-open family is always union-closed
     for x in fam:
         for y in fam:

@@ -30,31 +30,27 @@ class RefSpaceEnv:
 
     @property
     def so(self):
-        return self.ctx.so_family
+        return self.ctx.tables.so_family
 
     @property
     def so_set(self):
-        return self.ctx.so_set
+        return self.ctx.tables.so_set
 
     @property
     def tau(self):
-        return self.ctx.space.tau_gamma
+        return self.ctx.tables.tau_gamma
 
     def scl(self, a):
-        return self.ctx.scl_table[a]
+        return self.ctx.tables.scl_table[a]
 
     def sbd(self, a):
         return self.scl(a) & self.scl(self.full ^ a)
 
     def cl_g(self, a):
-        if self.ctx.closure_variant == "pointwise":
-            return self.ctx.space.cl_pointwise_table[a]
-        return self.ctx.space.cl_lattice_table[a]
+        return self.ctx.tables.cl_table[a]
 
     def int_g(self, a):
-        if self.ctx.closure_variant == "pointwise":
-            return self.ctx.space.int_pointwise_table[a]
-        return self.ctx.space.int_lattice_table[a]
+        return self.ctx.tables.int_table[a]
 
     def bd_g(self, a):
         return self.cl_g(a) & self.cl_g(self.full ^ a)

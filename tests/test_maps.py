@@ -106,7 +106,7 @@ class TestContinuity:
         inst = _self_instance(f5, PointMap(U3, U3, (1, 1, 1)))
         check = is_gamma_semi_continuous(inst)
         if not check.ok:
-            assert inst.map.preimage_table[check.witness] not in inst.domain_ctx.so_set
+            assert inst.map.preimage_table[check.witness] not in inst.domain_ctx.tables.so_set
 
 
 class TestOpenness:
@@ -121,8 +121,8 @@ class TestOpenness:
                 pm = PointMap(U3, U3, (target,) * 3)
                 check = is_gamma_semi_open_map(MapInstance(ctx, ctx, pm))
                 expected = all(
-                    (1 << target if u else 0) in ctx.so_set
-                    for u in space.tau_gamma
+                    (1 << target if u else 0) in ctx.tables.so_set
+                    for u in ctx.tables.tau_gamma
                 )
                 assert check.ok == expected
 
@@ -132,7 +132,7 @@ class TestOpenness:
         pm = PointMap(U3, U3, (0, 0, 2))  # a,b -> a; c -> c
         check = is_gamma_semi_open_map(MapInstance(ctx, ctx, pm))
         if not check.ok:
-            assert pm.image_table[check.witness] not in ctx.so_set
+            assert pm.image_table[check.witness] not in ctx.tables.so_set
 
 
 class TestDegeneration:

@@ -165,18 +165,20 @@ def test_gamma_tables():
     for space in CASES:
         masks = range(space.full + 1)
         label = space.describe()
+        pointwise = SemistarContext(space, "pointwise").tables
+        lattice = SemistarContext(space, "lattice").tables
         assert space.int_pointwise_table == tuple(
             _ref_int_pointwise(space, a) for a in masks
         ), label
-        assert space.cl_pointwise_table == tuple(
+        assert pointwise.cl_table == tuple(
             _ref_cl_pointwise(space, a) for a in masks
         ), label
         tau = _ref_tau_gamma(space)
-        assert space.tau_gamma == tau, label
-        assert space.int_lattice_table == tuple(
+        assert pointwise.tau_gamma == lattice.tau_gamma == tau, label
+        assert lattice.int_table == tuple(
             _union(o for o in tau if _subset(o, a)) for a in masks
         ), label
-        assert space.cl_lattice_table == tuple(
+        assert lattice.cl_table == tuple(
             _meet((space.full ^ o for o in tau if _subset(a, space.full ^ o)), space.full)
             for a in masks
         ), label
@@ -187,18 +189,18 @@ def test_semistar_tables(variant):
     for space in CASES:
         ctx = SemistarContext(space, variant)
         full, masks = ctx.full, range(ctx.full + 1)
-        so = ctx.so_family
+        so = ctx.tables.so_family
         sc = tuple(sorted(full ^ s for s in so))
-        assert ctx.sc_family == sc
-        assert ctx.sint_table == tuple(
+        assert ctx.tables.sc_family == sc
+        assert ctx.tables.sint_table == tuple(
             _union(s for s in so if _subset(s, a)) for a in masks
         ), ctx.describe()
-        assert ctx.scl_table == tuple(
+        assert ctx.tables.scl_table == tuple(
             _meet((f for f in sc if _subset(a, f)), full) for a in masks
         ), ctx.describe()
         classical = _ref_semi_opens(space.topology)
         tab = space.gamma.table
-        assert list(ctx.sint_pointwise_table) == [
+        assert list(ctx.space.sint_pointwise_table) == [
             sum(1 << x for x in _points(space.universe.size, a)
                 if any(u >> x & 1 and _subset(tab[u], a) for u in classical))
             for a in masks
@@ -223,7 +225,23 @@ def test_pointwise_closed_sets_are_the_gamma_closed_family():
         closed = tuple(
             a for a in range(space.full + 1) if _subset(_ref_cl_pointwise(space, a), a)
         )
-        assert closed == space.gamma_closed_family, space.describe()
+        for variant in ("pointwise", "lattice"):
+            tables = SemistarContext(space, variant).tables
+            assert closed == tables.gamma_closed_family, space.describe()
+
+
+def test_iterated_pointwise_interior_reaches_the_lattice_interior():
+    # README, "Derived facts": int_g is monotone and deflationary, so the
+    # iterates from A descend to the largest gamma-open set inside A, which
+    # `GammaSpace.open_op` reads
+    for space in CASES:
+        interior = space.int_pointwise_table
+        lattice = SemistarContext(space, "lattice").tables.int_table
+        for a in range(space.full + 1):
+            b = a
+            while interior[b] != b:
+                b = interior[b]
+            assert b == lattice[a], (space.describe(), a)
 
 
 @pytest.mark.parametrize("variant", ["pointwise", "lattice"])
@@ -241,15 +259,15 @@ def test_context_operator_tables(variant):
         else:
             cl = [_meet((full ^ o for o in tau if _subset(a, full ^ o)), full) for a in masks]
             inner = [_union(o for o in tau if _subset(o, a)) for a in masks]
-        sc = [full ^ s for s in ctx.so_family]
+        sc = [full ^ s for s in ctx.tables.so_family]
         scl = [_meet((f for f in sc if _subset(a, f)), full) for a in masks]
         label = ctx.describe()
-        assert list(ctx.cl_table) == cl, label
-        assert list(ctx.int_table) == inner, label
+        assert list(ctx.tables.cl_table) == cl, label
+        assert list(ctx.tables.int_table) == inner, label
         bd = [cl[a] & cl[full ^ a] for a in masks]
-        assert list(ctx.bd_table) == bd, label
+        assert list(ctx.tables.bd_table) == bd, label
         sbd = [scl[a] & scl[full ^ a] for a in masks]
-        assert list(ctx.sbd_table) == sbd, label
+        assert list(ctx.tables.sbd_table) == sbd, label
 
 
 @pytest.mark.parametrize("variant", ["pointwise", "lattice"])
@@ -261,9 +279,9 @@ def test_semi_open_family_is_union_closed(variant):
     # member (a family fixes its universe, as the claims' family memo needs)
     for space in CASES:
         ctx = SemistarContext(space, variant)
-        so, sint = ctx.so_set, ctx.sint_table
+        so, sint = ctx.tables.so_set, ctx.tables.sint_table
         label = ctx.describe()
-        assert ctx.so_family[-1] == ctx.full, label
+        assert ctx.tables.so_family[-1] == ctx.full, label
         assert all((a | b) in so for a in so for b in so), label
         assert all(sint[sint[a]] == sint[a] for a in range(ctx.full + 1)), label
 

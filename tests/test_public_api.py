@@ -3,7 +3,7 @@ removing one is a deliberate API change, made here and recorded in
 CHANGES.md.
 
 Operators are tables over the power set, indexed by mask and cached on
-`Topology`, `GammaSpace`, `SemistarContext` and `PointMap`; the names
+`Topology`, `GammaSpace`, `InteriorTables` and `PointMap`; the names
 below are the constructors, the engine and a few functions that compute
 rather than forward. The test imports nothing from the checkout but the
 package, so it also runs against an installed copy.
@@ -20,6 +20,7 @@ PUBLIC_API = (
     "FIXTURE_ORDER",
     "GammaOperation",
     "GammaSpace",
+    "InteriorTables",
     "MapInstance",
     "Mask",
     "MaskOutOfRange",
@@ -74,6 +75,17 @@ REMOVED = {
     "maps": ("image", "preimage"),
 }
 
+# the tables a space or context no longer holds: each moved to the shared
+# InteriorTables of `ctx.tables`, or to the space (CHANGES.md maps each to
+# its new read)
+MOVED = {
+    "GammaSpace": ("tau_gamma", "tau_gamma_set", "gamma_closed_family", "cl_pointwise_table",
+                   "cl_lattice_table", "int_lattice_table"),
+    "SemistarContext": ("cl_table", "int_table", "bd_table", "so_family", "so_set",
+                        "sc_family", "sc_set", "sint_table", "scl_table", "sbd_table",
+                        "sint_pointwise_table"),
+}
+
 
 def public_names(namespace) -> list:
     # submodules become package attributes once imported, so they are left out
@@ -91,3 +103,9 @@ def test_removed_forwarders_stay_removed():
     for module, names in REMOVED.items():
         defined = vars(getattr(topogamma, module))
         assert [name for name in names if name in defined] == [], module
+
+
+def test_moved_tables_stay_moved():
+    for cls, names in MOVED.items():
+        defined = vars(getattr(topogamma, cls))
+        assert [name for name in names if name in defined] == [], cls

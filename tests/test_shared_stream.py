@@ -1,11 +1,11 @@
 """The search stream's shared tables against fresh objects.
 
-Every cached table and classification flag of every streamed context must
-equal that of a fresh SemistarContext(GammaSpace(topology, op), closure),
-whatever the order in which the stream's consumer read them. Every cached
-name must be declared shared or unshared, sharing must cut the fills to
-one per key, and the kernels under the tables must equal their
-definitions."""
+Every table and classification flag of every streamed context must equal
+that of a fresh SemistarContext(GammaSpace(topology, op), closure),
+whatever the order in which the stream's consumer read them. Contexts of
+one topology must hold the same InteriorTables exactly when their
+pointwise interior tables are equal, so the fills come to one per key,
+and the kernels under the tables must equal their definitions."""
 from functools import cached_property
 
 import pytest
@@ -14,73 +14,59 @@ from topogamma import GammaSpace, SemistarContext, Universe
 from topogamma.claims import SearchConfig, _context_stream, search_counterexample
 from topogamma.core import enumerate_topologies, image_joins, submasks, supersets
 from topogamma.ops import enumerate_operations
+from topogamma.semistar import InteriorTables
 
-
-def _cached(cls) -> list:
-    return sorted(name for name, attr in vars(cls).items() if isinstance(attr, cached_property))
-
-
-# the operation-class flags are shared by equal operation tables: each
-# reads only the topology and the table
-SHARED_BY_TABLE_FLAGS = (
-    "monotone", "open_op", "regular", "semi_open_op", "semi_regular_cap",
+# what a context reads from its space, and what from its shared tables
+SPACE_TABLES = ("int_pointwise_table", "sint_pointwise_table")
+FLAGS = ("monotone", "open_op", "regular", "semi_open_op", "semi_regular_cap",
+         "semi_regular_cup")
+TABLES = sorted(
+    name for name, attr in vars(InteriorTables).items() if isinstance(attr, cached_property)
 )
-# cached names that no two operations share
-UNSHARED = {GammaSpace: (), SemistarContext: ()}
 
-SPACE_TABLES = [name for name in _cached(GammaSpace) if name not in SHARED_BY_TABLE_FLAGS]
-CONTEXT_TABLES = _cached(SemistarContext)
-FLAGS = list(SHARED_BY_TABLE_FLAGS) + ["semi_regular_cup"]
-
-
-def test_every_cached_name_is_declared():
-    space_shared = GammaSpace.SHARED_BY_TABLE + GammaSpace.SHARED_BY_INTERIOR
-    context_shared = SemistarContext.SHARED_BY_TABLE + SemistarContext.SHARED_BY_INTERIOR
-    for cls, shared in ((GammaSpace, space_shared), (SemistarContext, context_shared)):
-        declared = shared + UNSHARED[cls]
-        assert len(set(declared)) == len(declared), cls.__name__
-        assert sorted(declared) == _cached(cls), cls.__name__
-    assert sorted(GammaSpace.SHARED_BY_TABLE) == sorted(SHARED_BY_TABLE_FLAGS)
+CONFIGS = [
+    (max_n, budget, domain, closure)
+    for max_n, budget in ((3, 64), (4, 8))
+    for domain in ("opens", "semi-opens")
+    for closure in ("pointwise", "lattice")
+]
 
 
 def _read(ctx: SemistarContext, k: int) -> None:
     """Read part of the k-th context's tables before the next one is built:
     none on every third context, so some first contexts of a key stay
-    unfilled; a rotating part, contexts first, on the next; everything,
-    spaces and flags first, on the third."""
+    unfilled; a rotating part, shared tables first, on the next;
+    everything, flags and space tables first, on the third."""
     if k % 3 == 0:
         return
     if k % 3 == 1:
-        names = CONTEXT_TABLES + SPACE_TABLES
+        names = TABLES + list(SPACE_TABLES)
         for name in names[k % len(names):][::2]:
-            getattr(ctx, name) if name in CONTEXT_TABLES else getattr(ctx.space, name)
+            getattr(ctx.tables, name) if name in TABLES else getattr(ctx.space, name)
         return
     for flag in FLAGS:
         getattr(ctx.space, flag)
     for name in SPACE_TABLES:
         getattr(ctx.space, name)
-    for name in CONTEXT_TABLES:
-        getattr(ctx, name)
+    for name in TABLES:
+        getattr(ctx.tables, name)
 
 
 def _assert_matches_fresh(ctx: SemistarContext) -> None:
     space = ctx.space
     fresh = SemistarContext(GammaSpace(space.topology, space.gamma), ctx.closure_variant)
     assert ctx.describe() == fresh.describe()
+    assert ctx.tables.closure_variant == ctx.closure_variant
+    assert ctx.tables.topology is space.topology
     for name in SPACE_TABLES:
         assert getattr(space, name) == getattr(fresh.space, name), (name, ctx.describe())
-    for name in CONTEXT_TABLES:
-        assert getattr(ctx, name) == getattr(fresh, name), (name, ctx.describe())
+    for name in TABLES:
+        assert getattr(ctx.tables, name) == getattr(fresh.tables, name), (name, ctx.describe())
     for flag in FLAGS:
         assert getattr(space, flag) == getattr(fresh.space, flag), (flag, ctx.describe())
 
 
-@pytest.mark.parametrize("max_n, budget, domain, closure", [
-    (max_n, budget, domain, closure)
-    for max_n, budget in ((3, 64), (4, 8))
-    for domain in ("opens", "semi-opens")
-    for closure in ("pointwise", "lattice")
-])
+@pytest.mark.parametrize("max_n, budget, domain, closure", CONFIGS)
 def test_shared_stream_matches_fresh_contexts(max_n, budget, domain, closure):
     config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain,
                           closure_variant=closure)
@@ -94,6 +80,25 @@ def test_shared_stream_matches_fresh_contexts(max_n, budget, domain, closure):
     )
     for ctx in contexts:
         _assert_matches_fresh(ctx)
+
+
+@pytest.mark.parametrize("max_n, budget, domain, closure", CONFIGS)
+def test_contexts_share_tables_exactly_when_interiors_are_equal(max_n, budget, domain,
+                                                                closure):
+    config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain,
+                          closure_variant=closure)
+    # one tables object per (topology, pointwise interior table), and no
+    # object under two keys: together, `a.tables is b.tables` exactly when
+    # a and b have one topology and equal interior tables (the contexts are
+    # kept, so no id is reused)
+    contexts = list(_context_stream(config))
+    by_key: dict = {}
+    for ctx in contexts:
+        key = (ctx.space.topology.universe, ctx.space.topology.opens,
+               ctx.space.int_pointwise_table)
+        by_key.setdefault(key, set()).add(id(ctx.tables))
+    assert all(len(ids) == 1 for ids in by_key.values())
+    assert len(set().union(*by_key.values())) == len(by_key)
 
 
 def _count_fills(monkeypatch, cls, name: str) -> list:
@@ -114,12 +119,20 @@ def test_t314_fills_once_per_images_and_per_interior_table(monkeypatch):
     # the benchmark's space-search bounds: 1556 instances, 858 distinct
     # (topology, images of the opens), 821 distinct (topology, interior)
     interiors = _count_fills(monkeypatch, GammaSpace, "int_pointwise_table")
-    families = _count_fills(monkeypatch, SemistarContext, "so_family")
+    families = _count_fills(monkeypatch, InteriorTables, "so_family")
+    built = []
+    init = InteriorTables.__init__
+
+    def counted(tables, *args):
+        built.append(tables)
+        init(tables, *args)
+
+    monkeypatch.setattr(InteriorTables, "__init__", counted)
     config = SearchConfig(max_n=4, op_budget=4, stop_at_first=False)
     outcome = search_counterexample("T3.14", config)
     assert (outcome.visited, outcome.evaluated) == (1556, 1556)
     assert len(interiors) == 858
-    assert len(families) == 821
+    assert len(families) == len(built) == 821
 
 
 def test_kernels_match_their_definitions():

@@ -38,50 +38,46 @@ class RefSpaceEnv:
 
     @property
     def so(self):
-        return self.ctx.so_family
+        return self.ctx.tables.so_family
 
     @property
     def so_set(self):
-        return self.ctx.so_set
+        return self.ctx.tables.so_set
 
     @property
     def sc(self):
-        return self.ctx.sc_family
+        return self.ctx.tables.sc_family
 
     @property
     def sc_set(self):
-        return self.ctx.sc_set
+        return self.ctx.tables.sc_set
 
     @property
     def tau(self):
-        return self.ctx.space.tau_gamma
+        return self.ctx.tables.tau_gamma
 
     def scl(self, a):
-        return self.ctx.scl_table[a]
+        return self.ctx.tables.scl_table[a]
 
     def sint(self, a):
-        return self.ctx.sint_table[a]
+        return self.ctx.tables.sint_table[a]
 
     def si(self, a):
         if self.opt.interior_reading == "lattice":
-            return self.ctx.sint_table[a]
-        return self.ctx.sint_pointwise_table[a]
+            return self.ctx.tables.sint_table[a]
+        return self.ctx.space.sint_pointwise_table[a]
 
     def sbd(self, a):
-        return self.ctx.sbd_table[a]
+        return self.ctx.tables.sbd_table[a]
 
     def sext(self, a):
         return self.sint(self.full ^ a)
 
     def cl_g(self, a):
-        if self.ctx.closure_variant == "pointwise":
-            return self.ctx.space.cl_pointwise_table[a]
-        return self.ctx.space.cl_lattice_table[a]
+        return self.ctx.tables.cl_table[a]
 
     def int_g(self, a):
-        if self.ctx.closure_variant == "pointwise":
-            return self.ctx.space.int_pointwise_table[a]
-        return self.ctx.space.int_lattice_table[a]
+        return self.ctx.tables.int_table[a]
 
     def bd_g(self, a):
         return self.cl_g(a) & self.cl_g(self.full ^ a)
@@ -91,9 +87,9 @@ class RefSpaceEnv:
         if self.ctx.closure_variant == "pointwise":
             # the sets holding their pointwise closure, by definition, so the
             # P3.29 reference checks that they are the gamma-closed sets
-            table = self.ctx.space.cl_pointwise_table
+            table = self.ctx.tables.cl_table
             return tuple(a for a in range(self.full + 1) if table[a] & ~a == 0)
-        return self.ctx.space.gamma_closed_family
+        return self.ctx.tables.gamma_closed_family
 
 
 def _ref_hypothesis(name, env):
@@ -352,7 +348,7 @@ def test_family_only_names_follow_the_family():
     ]
     by_family = {}
     for ctx in contexts:
-        by_family.setdefault(ctx.so_family, []).append(ctx)
+        by_family.setdefault(ctx.tables.so_family, []).append(ctx)
     for reading in ("lattice", "pointwise"):
         opt = EvalOptions(interior_reading=reading)
         for name, (source, _) in _VOCABULARY.items():
@@ -384,7 +380,7 @@ def test_family_reuse_is_order_free(closure):
     # (empty memos), again by the same claims (every family memoized), and
     # by other fresh claims in reverse order, against the memo-free sweep
     contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure)))
-    assert len({ctx.so_family for ctx in contexts}) * 8 < len(contexts)
+    assert len({ctx.tables.so_family for ctx in contexts}) * 8 < len(contexts)
     options = [EvalOptions(interior_reading=reading, require=())
                for reading in ("lattice", "pointwise")]
     cold = [_space_claim(*row) for row in _LAWS]
