@@ -19,7 +19,7 @@ from .errors import ShapeMismatch
 from .fixtures import FIXTURE_NOTES, FIXTURE_ORDER, fixture_catalog
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .maps import MapInstance, PointMap
-from .ops import BUILTIN_KINDS, OPERATION_DOMAINS, enumerate_operations, gamma_builtin
+from .ops import BUILTIN_KINDS, OPERATION_DOMAINS, enumerate_operations
 from .registry import (
     _SET,
     CONFIRMED,
@@ -32,7 +32,6 @@ from .registry import (
     EvalOptions,
     Verdict,
     _continuity,
-    _hypothesis_names,
     _semi_open_map,
     _sr_flag,
     get_claim,
@@ -288,37 +287,28 @@ def reevaluate_witness(claim_or_id, instance, witness: dict,
 # --- counterexample search ------------------------------------------------------
 
 class SearchConfig(FrozenValue):
-    """Bounds and overrides for a counterexample search. The closure variant
-    is that of the contexts the stream builds; `options()` holds the rest."""
+    """Bounds for a counterexample search and the `options` it evaluates
+    under. The closure variant is that of the contexts the stream builds."""
 
-    _fields = ("max_n", "op_budget", "domain", "drop", "stop_at_first", "closure_variant",
-               "semi_regular_variant", "interior_reading")
+    _fields = ("max_n", "op_budget", "domain", "stop_at_first", "closure_variant", "options")
 
     def __init__(self, max_n: int = 4, op_budget: int = 64, domain: str = "opens",
-                 drop: Iterable[str] = frozenset(), stop_at_first: bool = True,
-                 closure_variant: str = "pointwise", semi_regular_variant: str = "cap",
-                 interior_reading: str = "lattice"):
+                 stop_at_first: bool = True, closure_variant: str = "pointwise",
+                 options: EvalOptions = EvalOptions()):
         if not 1 <= max_n <= ENUMERATION_CAP:
             raise ValueError(f"max_n must be between 1 and {ENUMERATION_CAP}")
         if op_budget < 1:
             raise ValueError("op_budget must be positive")
+        # checked here, as the stream would meet a bad value only once it runs
         if domain not in OPERATION_DOMAINS:
             raise ValueError(f"unknown domain {domain!r}, expected one of {OPERATION_DOMAINS}")
         if closure_variant not in CLOSURE_VARIANTS:
             raise ValueError(
                 f"unknown closure variant {closure_variant!r}, expected one of {CLOSURE_VARIANTS}"
             )
-        drop = frozenset(_hypothesis_names("drop", drop))
-        self._set(max_n, op_budget, domain, drop, stop_at_first, closure_variant,
-                  semi_regular_variant, interior_reading)
-        self.options()  # checks the readings and the dropped hypotheses
-
-    def options(self) -> EvalOptions:
-        return EvalOptions(
-            semi_regular_variant=self.semi_regular_variant,
-            interior_reading=self.interior_reading,
-            drop=self.drop,
-        )
+        if not isinstance(options, EvalOptions):
+            raise ValueError(f"options must be an EvalOptions, got {type(options).__name__}")
+        self._set(max_n, op_budget, domain, stop_at_first, closure_variant, options)
 
 
 class SearchOutcome:
@@ -422,9 +412,10 @@ def _sweep_instances(claim: Claim, instances: Iterable, opt: EvalOptions,
 def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) -> SearchOutcome:
     """Stream enumerated instances in canonical order and hunt for a refutation.
 
-    Hypotheses named in `config.drop` are not enforced, which turns necessity
-    examples into reproducible searches. Returns the first refuted verdict,
-    or an exhausted outcome with full accounting.
+    Every instance is evaluated under `config.options`; hypotheses named in
+    its `drop` are not enforced, which turns necessity examples into
+    reproducible searches. Returns the first refuted verdict, or an
+    exhausted outcome with full accounting.
     Worked-example claims are bound to their fixture and cannot be searched.
     """
     claim = get_claim(claim_id)
@@ -437,7 +428,7 @@ def search_counterexample(claim_id: str, config: Optional[SearchConfig] = None) 
         instances = _context_stream(config)
     else:
         instances = _map_instances(config)
-    return _sweep_instances(claim, instances, config.options(), config.stop_at_first)
+    return _sweep_instances(claim, instances, config.options, config.stop_at_first)
 
 
 # --- the audit -------------------------------------------------------------------
@@ -539,14 +530,13 @@ def _fixture_meta() -> dict:
 
 
 def _structural_sweeps(max_n: int) -> list:
-    spaces = []
-    for n in range(1, max_n + 1):
-        for topology in enumerate_topologies(n):
-            for kind in BUILTIN_KINDS:
-                spaces.append(GammaSpace(topology, gamma_builtin(kind, topology)))
-    # one context per (space, closure), shared by every structural claim
+    # the stream yields the builtins first, so its first len(BUILTIN_KINDS)
+    # operations per topology are exactly the builtins; one context per
+    # (space, closure), shared by every structural claim
     contexts = {
-        closure_variant: [SemistarContext(space, closure_variant) for space in spaces]
+        closure_variant: list(_context_stream(
+            SearchConfig(max_n, len(BUILTIN_KINDS), closure_variant=closure_variant)
+        ))
         for closure_variant in CLOSURE_VARIANTS
     }
     rows = []

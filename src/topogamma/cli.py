@@ -13,8 +13,10 @@ import sys
 from typing import Optional
 
 from .claims import (
+    INTERIOR_READINGS,
     KNOWN_HYPOTHESES,
     REFUTED,
+    SEMI_REGULAR_VARIANTS,
     EvalOptions,
     SearchConfig,
     audit_paper,
@@ -71,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--codomain")
     check.add_argument("--codomain-op")
     check.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    check.add_argument("--sr", choices=("cap", "cup"), default="cap", help=_SR_HELP)
-    check.add_argument("--interior", choices=("lattice", "pointwise"), default="lattice")
+    check.add_argument("--sr", choices=SEMI_REGULAR_VARIANTS, default="cap", help=_SR_HELP)
+    check.add_argument("--interior", choices=INTERIOR_READINGS, default="lattice")
     check.add_argument("--drop", action="append", default=[], choices=KNOWN_HYPOTHESES,
                        help="evaluate with this hypothesis unenforced (repeatable)")
     check.add_argument("--json", action="store_true")
@@ -85,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="operations per topology")
     search.add_argument("--domain", choices=OPERATION_DOMAINS, default="opens")
     search.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    search.add_argument("--sr", choices=("cap", "cup"), default="cap", help=_SR_HELP)
-    search.add_argument("--interior", choices=("lattice", "pointwise"), default="lattice")
+    search.add_argument("--sr", choices=SEMI_REGULAR_VARIANTS, default="cap", help=_SR_HELP)
+    search.add_argument("--interior", choices=INTERIOR_READINGS, default="lattice")
     search.add_argument("--no-stop", action="store_true",
                         help="keep sweeping after the first refutation")
     search.add_argument("--json", action="store_true")
@@ -164,13 +166,16 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    claim = get_claim(args.claim)
-    options = EvalOptions(
+def _options(args) -> EvalOptions:
+    return EvalOptions(
         semi_regular_variant=args.sr,
         interior_reading=args.interior,
-        drop=frozenset(args.drop),
+        drop=args.drop,
     )
+
+
+def _cmd_check(args) -> int:
+    claim = get_claim(args.claim)
     bundle = load_bundle(
         args.space,
         args.op,
@@ -183,7 +188,7 @@ def _cmd_check(args) -> int:
     if claim.kind == "map" and isinstance(bundle, SemistarContext):
         print(f"claim {claim.id} needs --codomain (and usually --map)", file=sys.stderr)
         return 2
-    verdict = evaluate_claim(claim, bundle, options)
+    verdict = evaluate_claim(claim, bundle, _options(args))
     payload = verdict.to_dict()
     text = f"{verdict.claim_id}: {verdict.status}"
     if verdict.witness and verdict.witness.get("slots"):
@@ -200,11 +205,9 @@ def _cmd_search(args) -> int:
         max_n=args.max_n,
         op_budget=args.budget,
         domain=args.domain,
-        drop=frozenset(args.drop),
         stop_at_first=not args.no_stop,
         closure_variant=args.closure,
-        semi_regular_variant=args.sr,
-        interior_reading=args.interior,
+        options=_options(args),
     )
     outcome = search_counterexample(args.claim, config)
     payload = outcome.to_dict()

@@ -71,16 +71,12 @@ def family_to_labels(universe: Universe, family) -> list:
 
 
 def _parse_table_key(key: str, universe: Universe, path: str) -> Mask:
+    # a key is a set literal, also in the bracket form that table_key writes
     body = key.strip()
-    for left, right in (("[", "]"), ("{", "}")):
-        if body.startswith(left) and body.endswith(right):
-            body = body[1:-1]
-            break
-    body = body.strip()
-    if not body:
-        return 0
+    if body.startswith("[") and body.endswith("]"):
+        body = "{" + body[1:-1] + "}"
     try:
-        return universe.mask_of(part.strip() for part in body.split(","))
+        return parse_set(body, universe)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -85,7 +85,7 @@ class Claim(FrozenValue):
     space claim or the `MapInstance` of a map claim."""
 
     _fields = ("id", "kind", "statement", "bindings", "holds", "hypotheses", "slots",
-               "fixture", "notes", "uses_sr_variant", "detail", "term")
+               "fixture", "uses_sr_variant", "detail", "term")
 
     def __init__(
         self,
@@ -97,12 +97,11 @@ class Claim(FrozenValue):
         hypotheses: tuple = (),
         slots: tuple = (),                          # (name, render-kind) pairs
         fixture: Optional[str] = None,              # E-claims bind to one fixture
-        notes: str = "",
         uses_sr_variant: bool = False,
         detail: Optional[Callable[[object, EvalOptions, tuple], dict]] = None,
         term: Optional[_Term] = None,               # a T/P/L space claim's statement
     ):
-        self._set(id, kind, statement, bindings, holds, hypotheses, slots, fixture, notes,
+        self._set(id, kind, statement, bindings, holds, hypotheses, slots, fixture,
                   uses_sr_variant, detail, term)
 
     @property
@@ -417,7 +416,7 @@ def _classical_so(ctx, opt):
 _F1_TAU = (0, 1, 5, 7)
 _F2_TAU = (0, 1, 2, 3, 7)
 
-# id, fixture, statement, computed(ctx, opt), reported[, notes]
+# id, fixture, statement, computed(ctx, opt), reported
 _EXAMPLES = (
     ("E3.2a", "F1", "reported gamma-open family {{},{a},{a,c},X} matches the computed one",
      _tau, _F1_TAU),
@@ -445,8 +444,8 @@ _EXAMPLES = (
     ("E3.4c", "F3", "{a} is not semi-open", lambda ctx, opt: 1 in ctx.tables.so_set, False),
     ("E3.23a", "F4", "classical semi-open family is {{},{a},{a,b},{a,c},X}",
      _classical_so, (0, 1, 3, 5, 7)),
-    ("E3.23b", "F4", "the closure operation is not semi-regular", _semi_regular, False,
-     "operation read as A -> cl(A)"),
+    # the operation is read as A -> cl(A)
+    ("E3.23b", "F4", "the closure operation is not semi-regular", _semi_regular, False),
     ("E3.23c", "F4", "the closure operation is a semi-open operation",
      lambda ctx, opt: ctx.space.semi_open_op, True),
     ("E3.25a", "F5", "reported semi-open family {{},{a},{c},{a,b},{b,c},X} matches the computed one",
@@ -457,7 +456,7 @@ _EXAMPLES = (
 )
 
 
-# --- the space laws: id, statement, bindings, term, hypotheses[, notes] ---------
+# --- the space laws: id, statement, bindings, term, hypotheses ------------------
 #
 # A term is one expression over the binding's slots (A, B, clause) and the
 # vocabulary; sext*(A) is sint*(X - A), and `si` is the semi-interior of
@@ -490,9 +489,9 @@ _LAWS = (
      "sint[A] | sint[full ^ A] | sbd[A] == full"),
     ("T3.19.1", "A semi-open iff A n sbd*(A) = {}", _masks, "(A in so) == (A & sbd[A] == 0)"),
     ("T3.19.2", "A semi-closed iff sbd*(A) inside A", _masks, "(A in sc) == (sbd[A] & ~A == 0)"),
+    # audited under regular, open, and both hypotheses
     ("T3.20", "sbd*^3(A) = sbd*^2(A) on semi-closed A", _sc_singles,
-     "sbd[sbd[sbd[A]]] == sbd[sbd[A]]", ("regular",),
-     "audited under regular, open, and both hypotheses"),
+     "sbd[sbd[sbd[A]]] == sbd[sbd[A]]", ("regular",)),
     ("T3.24", "A n B semi-open for semi-open A, B", _so_pairs, "(A & B) in so", _SR),
     ("T3.26.1", "sint*(sint*(A)) = sint*(A)", _masks, "si[si[A]] == si[A]", _SR),
     ("T3.26.2", "sint*(A u B) contains sint*(A) u sint*(B)", _pairs,
@@ -526,7 +525,7 @@ _LAWS = (
 
 # --- registry ----------------------------------------------------------------
 
-def _space_claim(cid, statement, bindings, term, hyps=(), notes=""):
+def _space_claim(cid, statement, bindings, term, hyps=()):
     term = _Term(cid, term, bindings)
     return Claim(
         id=cid,
@@ -536,13 +535,12 @@ def _space_claim(cid, statement, bindings, term, hyps=(), notes=""):
         holds=term,
         hypotheses=tuple(hyps),
         slots=_BINDINGS[bindings][0],
-        notes=notes,
         uses_sr_variant="semi-regular" in hyps,
         term=term,
     )
 
 
-def _equivalence(cid, statement, sides, hyps=(), notes=""):
+def _equivalence(cid, statement, sides, hyps=()):
     """A map claim that whole-map properties agree: `holds` when every side
     gives the first side's value; the witness detail is every side's value,
     keyed by side name in declaration order."""
@@ -565,7 +563,6 @@ def _equivalence(cid, statement, sides, hyps=(), notes=""):
         bindings=_unit,
         holds=holds,
         hypotheses=tuple(hyps),
-        notes=notes,
         detail=detail,
     )
 
@@ -574,7 +571,7 @@ def _family_labels(ctx: SemistarContext, family) -> list:
     return [list(ctx.universe.names_of(m)) for m in family]
 
 
-def _example(cid, fixture, statement, computed, reported, notes=""):
+def _example(cid, fixture, statement, computed, reported):
     """A worked-example claim: `computed` on the fixture's context against the
     reported value. The type of `reported` decides the witness detail: a
     family (tuple of masks) shows both families, a set rendered as text
@@ -601,7 +598,6 @@ def _example(cid, fixture, statement, computed, reported, notes=""):
         bindings=_unit,
         holds=lambda ctx, opt, b: value(ctx, opt) == reported,
         fixture=fixture,
-        notes=notes,
         # the one computed value that reads the semi-regular reading
         uses_sr_variant=computed is _semi_regular,
         detail=detail,
@@ -627,15 +623,15 @@ def _build_registry() -> tuple:
                       "boundary_preimage": _boundary_preimage_side}),
         _equivalence("T4.9", "f continuous iff scl*(f^-1(G)) inside cl_g(f^-1(G)) for all G",
                      {"continuity": _continuity, "containment_side": _t49_side}),
+        # companion inequality to T4.9; registered separately
         _equivalence("T4.9p", "f continuous iff f(scl*(f^-1(G))) inside cl_g(G) for all G",
-                     {"continuity": _continuity, "containment_side": _t49p_side},
-                     notes="companion inequality to T4.9; registered separately"),
+                     {"continuity": _continuity, "containment_side": _t49p_side}),
         _equivalence("T4.13", "bijective f semi-open iff f^-1(sbd*(B)) inside bd_g(f^-1(B)) "
                      "for all B", {"image_side": _semi_open_map, "boundary_side": _t413_side},
                      hyps=("bijective",)),
+        # same predicate as T4.5; registered under both ids
         _equivalence("T4.14", "f semi-open iff f(int_g(A)) inside cl_g(int_g(f(A))) for all A",
-                     {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside},
-                     notes="same predicate as T4.5; registered under both ids"),
+                     {"image_side": _semi_open_map, "interior_closure_side": _open_map_imageside}),
     ]
     claims += [_example(*row) for row in _EXAMPLES]
     return tuple(claims)

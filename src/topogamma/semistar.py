@@ -147,6 +147,9 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
                 tables = InteriorTables(topology, interior, closure_variant)
                 by_interior[interior] = tables
             by_images[images] = tables
+        else:
+            # equal images of the opens give an equal interior table
+            space.int_pointwise_table = tables.int_pointwise_table
         yield SemistarContext(space, closure_variant, tables)
 
 

@@ -69,13 +69,13 @@ def test_criterion_1_fixture_reproduction():
 
 def test_criterion_2_necessity_search():
     def body():
-        dropped = SearchConfig(max_n=3, drop=frozenset({"semi-regular"}))
+        dropped = SearchConfig(max_n=3, options=EvalOptions(drop={"semi-regular"}))
         outcome = search_counterexample("T3.24", dropped)
         assert outcome.status == REFUTED
         assert outcome.witness is not None
         assert reevaluate_witness(
             "T3.24", outcome.witness_instance, outcome.witness.witness,
-            dropped.options(),
+            dropped.options,
         )
         # enforcing the intersection form of semi-regularity over the same
         # stream: either no refutation survives, or each one carries its

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from topogamma.claims import SearchConfig, search_counterexample
+from topogamma import SchemaError, default_universe, make_topology
+from topogamma.claims import EvalOptions, SearchConfig, list_claims, search_counterexample
 from topogamma.cli import run
+from topogamma.jsonio import operation_from_json
 
 F5_SPACE = {
     "points": ["a", "b", "c"],
@@ -31,6 +33,8 @@ GAMMA2_OP = {
 IDENTITY_MAP = {"assign": {"a": "a", "b": "b", "c": "c"}}
 
 GOLDEN = Path(__file__).parent / "golden"
+
+SR_GATED = [c.id for c in list_claims() if "semi-regular" in c.hypotheses]
 
 
 @pytest.fixture
@@ -232,14 +236,32 @@ class TestSearch:
                 "--max-n", "3", "--budget", "4", "--json"]
         for hypothesis in drop:
             argv += ["--drop", hypothesis]
-        config = SearchConfig(max_n=3, op_budget=4, drop=frozenset(drop),
-                              interior_reading="pointwise")
+        config = SearchConfig(max_n=3, op_budget=4,
+                              options=EvalOptions(interior_reading="pointwise", drop=drop))
         expected = search_counterexample(claim, config).to_dict()
         code = run(argv)
         assert json.loads(capsys.readouterr().out) == expected
         assert code == (1 if expected["status"] == "REFUTED" else 0)
         if expected["witness"]:
             assert expected["witness"]["variant"]["interior"] == "pointwise"
+
+    @pytest.mark.parametrize("closure", ["pointwise", "lattice"])
+    @pytest.mark.parametrize("claim", SR_GATED)
+    def test_sr_cup_reaches_the_search(self, capsys, claim, closure):
+        # the union form holds for every operation, so --sr cup must search
+        # exactly as dropping the hypothesis does; only the variant differs
+        argv = ["search", "--claim", claim, "--closure", closure, "--max-n", "3",
+                "--budget", "8", "--no-stop", "--json"]
+        results = []
+        for extra in (["--sr", "cup"], ["--drop", "semi-regular"]):
+            code = run(argv + extra)
+            payload = json.loads(capsys.readouterr().out)
+            witness = payload.pop("witness")
+            if witness is not None:
+                payload["instance"] = witness["instance"]
+                payload["slots"] = witness["witness"]["slots"]
+            results.append((code, payload))
+        assert results[0] == results[1]
 
     def test_fixture_claim_is_usage_error(self, capsys):
         # a worked-example claim checks one fixture; on a 1-point space it
@@ -329,6 +351,22 @@ class TestInputErrors:
             "operation": {"table": {"[a]": []}},
         }))
         assert run(["show", "--space", str(bad), "--what", "tau-gamma"]) == 2
+
+    @pytest.mark.parametrize("key", ["[a,b]", "{a,b}", "a,b", " [ a , b ] "])
+    def test_table_key_forms_parse_alike(self, key):
+        topology = make_topology(default_universe(3), (0, 1, 7))
+        parsed = operation_from_json({"table": {key: ["a", "b", "c"], "[]": ["b"]}}, topology)
+        expected = operation_from_json({"table": {"{a,b}": ["a", "b", "c"], "{}": ["b"]}},
+                                       topology)
+        assert parsed.table == expected.table
+        assert parsed.table[3] == 7 and parsed.table[0] == 2
+
+    @pytest.mark.parametrize("key", ["[a,z]", "{a,z}", "a,z"])
+    def test_table_key_with_unknown_point(self, key):
+        topology = make_topology(default_universe(3), (0, 1, 7))
+        with pytest.raises(SchemaError, match="unknown point 'z'") as info:
+            operation_from_json({"table": {key: ["a", "b", "c"]}}, topology)
+        assert info.value.json_path == f"operation.table.{key}"
 
     def _assert_usage_error(self, argv, capsys, message):
         assert run(argv) == 2

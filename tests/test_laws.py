@@ -192,13 +192,13 @@ class TestMapClaims:
 
 class TestSearch:
     def test_t324_necessity(self):
-        config = SearchConfig(max_n=3, drop=frozenset({"semi-regular"}))
+        config = SearchConfig(max_n=3, options=DROP_SR)
         outcome = search_counterexample("T3.24", config)
         assert outcome.status == REFUTED
         assert outcome.witness is not None
         assert reevaluate_witness(
             "T3.24", outcome.witness_instance, outcome.witness.witness,
-            config.options(),
+            config.options,
         )
 
     def test_enforced_rerun_accounting(self):
@@ -231,7 +231,7 @@ class TestSearch:
             search_counterexample("nope", SearchConfig(max_n=1))
 
     def test_deterministic(self):
-        config = SearchConfig(max_n=3, drop=frozenset({"semi-regular"}))
+        config = SearchConfig(max_n=3, options=DROP_SR)
         first = search_counterexample("T3.24", config)
         second = search_counterexample("T3.24", config)
         assert first.to_dict() == second.to_dict()

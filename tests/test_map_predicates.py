@@ -169,7 +169,7 @@ def test_reference_covers_every_map_claim():
 @pytest.mark.parametrize("max_n, budget, instances", [(2, 3, 693), (3, 1, 24872)])
 def test_predicates_match_reference(max_n, budget, instances, closure):
     config = SearchConfig(max_n=max_n, op_budget=budget, closure_variant=closure)
-    opt = config.options()
+    opt = config.options
     equivalences = [get_claim(cid) for cid in SIDES]
     t47 = get_claim("T4.7")
     outcomes = set()
@@ -204,7 +204,7 @@ def test_predicates_match_reference(max_n, budget, instances, closure):
 
 def test_unlabelled_refutation_carries_only_its_binding():
     config = SearchConfig(max_n=2, op_budget=3)
-    opt = config.options()
+    opt = config.options
     claim = get_claim("T4.9")
     for inst in _map_instances(config):
         verdict = evaluate_claim(claim, inst, opt, label="")
@@ -236,7 +236,7 @@ def test_each_whole_map_flag_is_decided_at_most_once_per_instance(monkeypatch):
     for name in flags:
         monkeypatch.setattr(maps, name, counted(name, getattr(maps, name)))
     config = SearchConfig(max_n=2, op_budget=3)
-    opt = config.options()
+    opt = config.options
     claims = [c for c in list_claims() if c.kind == "map"]
     decided = dict.fromkeys(flags, 0)
     for inst in _map_instances(config):

@@ -16,6 +16,7 @@ from topogamma import (
 from topogamma.claims import (
     REFUTED,
     VACUOUS,
+    EvalOptions,
     SearchConfig,
     _assignment_indices,
     _assignment_of,
@@ -37,7 +38,7 @@ def reference_map_search(claim_id: str, config: SearchConfig) -> dict:
     domain space, a fresh PointMap for every instance, and a label built
     for every verdict. Returns what SearchOutcome.to_dict() returns."""
     claim = get_claim(claim_id)
-    opt = config.options()
+    opt = config.options
 
     def spaces():
         for n in range(1, config.max_n + 1):
@@ -96,7 +97,7 @@ class TestMapSearchMatchesReference:
         # T4.7 without its three hypotheses refutes on many instances, so
         # the first witness and the refutation count are both compared
         config = SearchConfig(max_n=2, op_budget=3, stop_at_first=stop,
-                              drop=frozenset(get_claim("T4.7").hypotheses))
+                              options=EvalOptions(drop=get_claim("T4.7").hypotheses))
         got = search_counterexample("T4.7", config).to_dict()
         assert got["status"] == REFUTED
         assert got == reference_map_search("T4.7", config)
@@ -117,12 +118,13 @@ def test_space_search_witness_is_the_labelled_verdict(claim_id, drop, closure):
     # the search renders its first witness after the sweep; it must equal
     # the verdict evaluate_claim renders for the same context, closure
     # included
-    config = SearchConfig(max_n=3, op_budget=3, drop=drop, closure_variant=closure)
+    config = SearchConfig(max_n=3, op_budget=3, closure_variant=closure,
+                          options=EvalOptions(drop=drop))
     outcome = search_counterexample(claim_id, config)
     assert outcome.status == REFUTED
     assert isinstance(outcome.witness_instance, SemistarContext)
     assert outcome.witness.variant["closure"] == closure
-    expected = evaluate_claim(claim_id, outcome.witness_instance, config.options())
+    expected = evaluate_claim(claim_id, outcome.witness_instance, config.options)
     assert expected.witness["slots"]
     assert outcome.witness.to_dict() == expected.to_dict()
 

@@ -63,7 +63,6 @@ def test_list_fields_are_stored_as_tuples():
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: EvalOptions(drop="open"), id="EvalOptions-drop"),
     pytest.param(lambda: EvalOptions(require="open"), id="EvalOptions-require"),
-    pytest.param(lambda: SearchConfig(drop="open"), id="SearchConfig-drop"),
 ])
 def test_a_bare_string_of_hypotheses_is_refused(make):
     # read letter by letter, it would be refused for a letter it never named
@@ -105,23 +104,33 @@ def test_universe_stores_its_labels_as_a_tuple():
 
 
 def test_search_config_stores_drop_as_a_frozenset():
-    config = SearchConfig(drop={"open"})
-    assert config.drop == frozenset({"open"})
-    assert isinstance(config.drop, frozenset)
-    assert config == SearchConfig(drop=frozenset({"open"}))
-    assert hash(config) == hash(SearchConfig(drop=["open"]))
-    assert config.options().drop == frozenset({"open"})
+    # options given a set, a frozenset or a list make equal configs
+    configs = [SearchConfig(options=EvalOptions(drop=drop))
+               for drop in ({"open"}, frozenset({"open"}), ["open"])]
+    assert all(isinstance(c.options.drop, frozenset) for c in configs)
+    assert configs[0].options.drop == frozenset({"open"})
+    assert configs[0] == configs[1] == configs[2]
+    assert len({hash(c) for c in configs}) == 1
 
 
 @pytest.mark.parametrize("field, value", [
     ("closure_variant", "bogus"),
     ("domain", "bogus"),
-    ("semi_regular_variant", "bogus"),
-    ("interior_reading", "bogus"),
-    ("drop", {"bogus"}),
     ("max_n", 0),
     ("op_budget", 0),
+    ("options", {"drop": {"open"}}),
 ])
 def test_search_config_checks_every_field_at_construction(field, value):
     with pytest.raises(ValueError):
         SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("semi_regular_variant", "bogus"),
+    ("interior_reading", "bogus"),
+    ("drop", {"bogus"}),
+    ("require", {"bogus"}),
+])
+def test_eval_options_checks_every_field_at_construction(field, value):
+    with pytest.raises(ValueError):
+        EvalOptions(**{field: value})
