@@ -23,6 +23,7 @@ from .ops import BUILTIN_KINDS, OPERATION_DOMAINS, enumerate_operations
 from .registry import (
     _SET,
     CONFIRMED,
+    HYPOTHESES,
     INTERIOR_READINGS,
     KNOWN_HYPOTHESES,  # read from here by the CLI
     REFUTED,
@@ -31,9 +32,6 @@ from .registry import (
     Claim,
     EvalOptions,
     Verdict,
-    _continuity,
-    _semi_open_map,
-    _sr_flag,
     get_claim,
     list_claims,
 )
@@ -64,66 +62,59 @@ def _fixture_shape(name: str) -> tuple:
     return space.topology, space.gamma.table
 
 
-def _claim_context(claim: Claim, instance) -> SemistarContext:
-    """The context a space claim reads; a worked-example claim reads only
-    its own fixture's topology and operation table."""
-    ctx = _as_context(instance)
-    if claim.fixture is not None and (
-        (ctx.space.topology, ctx.space.gamma.table) != _fixture_shape(claim.fixture)
+def _subject(claim: Claim, instance):
+    """What `claim` reads of `instance`: a space claim's context (a
+    worked-example claim reads only its own fixture's topology and operation
+    table), a map claim's MapInstance, or the two contexts of a (domain,
+    codomain) pair whose point maps the claim sweeps."""
+    if claim.kind == "space":
+        ctx = _as_context(instance)
+        if claim.fixture is not None and (
+            (ctx.space.topology, ctx.space.gamma.table) != _fixture_shape(claim.fixture)
+        ):
+            raise ShapeMismatch(
+                f"claim {claim.id} checks fixture {claim.fixture}; the instance is another space"
+            )
+        return ctx
+    if isinstance(instance, MapInstance):
+        return instance
+    if isinstance(instance, tuple) and len(instance) == 2 and all(
+        isinstance(side, (GammaSpace, SemistarContext)) for side in instance
     ):
-        raise ShapeMismatch(
-            f"claim {claim.id} checks fixture {claim.fixture}; the instance is another space"
-        )
-    return ctx
+        return _as_context(instance[0]), _as_context(instance[1])
+    raise ShapeMismatch(
+        f"map claim needs a map instance or a (domain, codomain) pair, "
+        f"got {type(instance).__name__}"
+    )
 
 
-def _hypothesis_met(name: str, subject, opt: EvalOptions) -> bool:
-    if isinstance(subject, SemistarContext):
-        space = subject.space
-        if name == "regular":
-            return space.regular
-        if name == "open":
-            return space.open_op
-        if name == "monotone":
-            return space.monotone
-        if name == "semi-regular":
-            return _sr_flag(space, opt)
-        raise ValueError(f"hypothesis {name!r} does not apply to a space claim")
-    if name == "bijective":
-        return subject.map.bijective
-    if name == "semi-continuous":
-        return _continuity(subject)
-    if name == "semi-open-map":
-        return _semi_open_map(subject)
-    # a flag is decided when first read, so each hypothesis decides only
-    # the flags it names (T4.2's `regular` never classifies the codomain)
-    space_x = subject.domain_ctx.space
-    if name == "regular":
-        return space_x.regular
-    if name == "semi-regular":
-        return _sr_flag(space_x, opt)
-    space_y = subject.codomain_ctx.space
-    if name == "open":
-        return space_x.open_op and space_y.open_op
-    if name == "monotone":
-        return space_x.monotone and space_y.monotone
-    raise ValueError(f"unknown hypothesis {name!r}")
+def _options(options) -> EvalOptions:
+    if options is None:
+        return EvalOptions()
+    if not isinstance(options, EvalOptions):
+        raise ValueError(f"options must be an EvalOptions, got {type(options).__name__}")
+    return options
 
 
 @lru_cache(maxsize=None)
-def _gate(hypotheses: tuple, uses_interior: bool, opt: EvalOptions,
+def _gate(hypotheses: tuple, kind: str, uses_interior: bool, opt: EvalOptions,
           closure: str) -> tuple:
-    """The hypotheses a claim enforces under `opt`, and its variant record.
-    Callers copy the record before adding to it."""
+    """The (name, reader) pairs of the hypotheses a claim of `kind` enforces
+    under `opt`, and its variant record. Callers copy the record before
+    adding to it."""
     base = hypotheses if opt.require is None else tuple(opt.require)
     hyps = tuple(h for h in base if h not in opt.drop)
+    readers = tuple((h, HYPOTHESES[h][kind == "map"]) for h in hyps)
+    for h, reader in readers:
+        if reader is None:
+            raise ValueError(f"hypothesis {h!r} does not apply to a {kind} claim")
     variant = {
         "closure": closure,
         "semi_regular": opt.semi_regular_variant,
         "interior": opt.interior_reading if uses_interior else "lattice",
         "hypotheses": "+".join(hyps) if hyps else "none",
     }
-    return hyps, variant
+    return readers, variant
 
 
 def _render_binding(claim: Claim, subject, opt: EvalOptions, binding: tuple) -> dict:
@@ -143,10 +134,11 @@ def _run(claim: Claim, subject, opt: EvalOptions, label: str, closure: str) -> V
     """Gate, then sweep the bindings for the first one the claim fails on.
     A verdict labelled "" is one the caller will most likely discard, so
     its witness holds the binding only."""
-    hyps, variant = _gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)
+    readers, variant = _gate(claim.hypotheses, claim.kind, claim.uses_interior_reading, opt,
+                             closure)
     variant = dict(variant)
-    for h in hyps:
-        if not _hypothesis_met(h, subject, opt):
+    for h, met in readers:
+        if not met(subject, opt):
             variant["unmet"] = h
             return Verdict(claim.id, label, VACUOUS, variant, None)
     # the bindings are read off the claim here, so a caller that re-binds
@@ -192,10 +184,8 @@ def _point_maps(source, target) -> tuple:
     )
 
 
-def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
-                        label: Optional[str]) -> Verdict:
-    ctx_x = _as_context(pair[0])
-    ctx_y = _as_context(pair[1])
+def _evaluate_map_sweep(claim: Claim, ctx_x: SemistarContext, ctx_y: SemistarContext,
+                        opt: EvalOptions, label: Optional[str]) -> Verdict:
     point_maps = _point_maps(ctx_x.universe, ctx_y.universe)
     total = ctx_y.universe.size**ctx_x.universe.size
     sweep_note = (
@@ -215,7 +205,8 @@ def _evaluate_map_sweep(claim: Claim, pair: tuple, opt: EvalOptions,
             verdict.witness["assign"] = pm.as_labels()
             verdict.variant["maps"] = f"{sweep_note}, met={met}"
             return verdict
-    variant = dict(_gate(claim.hypotheses, claim.uses_interior_reading, opt, closure)[1])
+    variant = dict(_gate(claim.hypotheses, claim.kind, claim.uses_interior_reading, opt,
+                         closure)[1])
     variant["maps"] = f"{sweep_note}, met={met}"
     if met == 0:
         variant["unmet"] = "no map met the hypotheses"
@@ -247,38 +238,28 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
     only the verdicts it keeps.
     """
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
-    opt = options or EvalOptions()
+    opt = _options(options)
+    subject = _subject(claim, instance)
     if claim.kind == "space":
-        ctx = _claim_context(claim, instance)
-        if label is None:
-            label = ctx.describe()
-        return _run(claim, ctx, opt, label, ctx.closure_variant)
-    if isinstance(instance, MapInstance):
-        closure = _closure_label(instance.domain_ctx, instance.codomain_ctx)
-        if label is None:
-            label = instance.describe()
-        return _run(claim, instance, opt, label, closure)
-    if isinstance(instance, tuple) and len(instance) == 2:
-        return _evaluate_map_sweep(claim, instance, opt, label)
-    raise ShapeMismatch(
-        f"map claim needs a map instance or a (domain, codomain) pair, "
-        f"got {type(instance).__name__}"
-    )
+        closure = subject.closure_variant
+    elif isinstance(subject, MapInstance):
+        closure = _closure_label(subject.domain_ctx, subject.codomain_ctx)
+    else:
+        return _evaluate_map_sweep(claim, *subject, opt, label)
+    if label is None:
+        label = subject.describe()
+    return _run(claim, subject, opt, label, closure)
 
 
 def reevaluate_witness(claim_or_id, instance, witness: dict,
                        options: Optional[EvalOptions] = None) -> bool:
     """True when the stored witness still falsifies the claim on re-evaluation."""
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
-    opt = options or EvalOptions()
+    opt = _options(options)
     binding = tuple(witness.get("binding", ()))
-    if claim.kind == "space":
-        subject = _claim_context(claim, instance)
-    elif isinstance(instance, MapInstance):
-        subject = instance
-    else:
-        ctx_x = _as_context(instance[0])
-        ctx_y = _as_context(instance[1])
+    subject = _subject(claim, instance)
+    if isinstance(subject, tuple):
+        ctx_x, ctx_y = subject
         pm = PointMap.from_labels(ctx_x.universe, ctx_y.universe, witness["assign"])
         subject = MapInstance(ctx_x, ctx_y, pm)
     return not claim.holds(subject, opt, binding)
@@ -306,9 +287,7 @@ class SearchConfig(FrozenValue):
             raise ValueError(
                 f"unknown closure variant {closure_variant!r}, expected one of {CLOSURE_VARIANTS}"
             )
-        if not isinstance(options, EvalOptions):
-            raise ValueError(f"options must be an EvalOptions, got {type(options).__name__}")
-        self._set(max_n, op_budget, domain, stop_at_first, closure_variant, options)
+        self._set(max_n, op_budget, domain, stop_at_first, closure_variant, _options(options))
 
 
 class SearchOutcome:

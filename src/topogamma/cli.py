@@ -65,30 +65,33 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
     show.add_argument("--json", action="store_true", help="emit the JSON form")
 
-    check = sub.add_parser("check", help="evaluate one claim on one instance")
+    # the flags `check` and `search` share: the closure variant of the
+    # contexts, and the readings and drops `_options` turns into EvalOptions
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
+    evaluation.add_argument("--sr", choices=SEMI_REGULAR_VARIANTS, default="cap",
+                            help=_SR_HELP)
+    evaluation.add_argument("--interior", choices=INTERIOR_READINGS, default="lattice")
+    evaluation.add_argument("--drop", action="append", default=[], choices=KNOWN_HYPOTHESES,
+                            help="evaluate with this hypothesis unenforced (repeatable)")
+
+    check = sub.add_parser("check", parents=[evaluation],
+                           help="evaluate one claim on one instance")
     check.add_argument("--claim", required=True)
     check.add_argument("--space", required=True)
     check.add_argument("--op")
     check.add_argument("--map", dest="map_path")
     check.add_argument("--codomain")
     check.add_argument("--codomain-op")
-    check.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    check.add_argument("--sr", choices=SEMI_REGULAR_VARIANTS, default="cap", help=_SR_HELP)
-    check.add_argument("--interior", choices=INTERIOR_READINGS, default="lattice")
-    check.add_argument("--drop", action="append", default=[], choices=KNOWN_HYPOTHESES,
-                       help="evaluate with this hypothesis unenforced (repeatable)")
     check.add_argument("--json", action="store_true")
 
-    search = sub.add_parser("search", help="hunt enumerated instances for a counterexample")
+    search = sub.add_parser("search", parents=[evaluation],
+                            help="hunt enumerated instances for a counterexample")
     search.add_argument("--claim", required=True)
-    search.add_argument("--drop", action="append", default=[], choices=KNOWN_HYPOTHESES)
     search.add_argument("--max-n", type=int, default=4)
     search.add_argument("--budget", type=int, default=64,
                         help="operations per topology")
     search.add_argument("--domain", choices=OPERATION_DOMAINS, default="opens")
-    search.add_argument("--closure", choices=CLOSURE_VARIANTS, default="pointwise")
-    search.add_argument("--sr", choices=SEMI_REGULAR_VARIANTS, default="cap", help=_SR_HELP)
-    search.add_argument("--interior", choices=INTERIOR_READINGS, default="lattice")
     search.add_argument("--no-stop", action="store_true",
                         help="keep sweeping after the first refutation")
     search.add_argument("--json", action="store_true")

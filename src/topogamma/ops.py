@@ -27,9 +27,6 @@ class GammaOperation(FrozenValue):
     def __init__(self, table: tuple[Mask, ...], origin: str):
         self._set(table, origin)
 
-    def __call__(self, mask: Mask) -> Mask:
-        return self.table[mask]
-
 
 def _finish(topology: Topology, table: list[Mask], origin: str) -> GammaOperation:
     for v in topology.opens:

@@ -33,22 +33,42 @@ VACUOUS = "VACUOUS"
 SEMI_REGULAR_VARIANTS = ("cap", "cup")
 INTERIOR_READINGS = ("lattice", "pointwise")
 
-KNOWN_HYPOTHESES = (
-    "regular",
-    "semi-regular",
-    "open",
-    "monotone",
-    "bijective",
-    "semi-continuous",
-    "semi-open-map",
-)
+
+def _semi_regular(ctx, opt):
+    space = ctx.space
+    return space.semi_regular_cap if opt.semi_regular_variant == "cap" else space.semi_regular_cup
 
 
-def _hypothesis_names(arg: str, names: Iterable[str]) -> Iterable[str]:
+# each hypothesis: what it reads of a space claim's context, and what it
+# reads of a map claim's instance (None where it does not apply). A flag is
+# decided when first read, so each reader decides only the flags it names:
+# T4.2's `regular` never classifies the codomain. The whole-map flags are
+# decided through the `maps` module attributes, which a tracer may rebind
+HYPOTHESES = {
+    "regular": (lambda ctx, opt: ctx.space.regular,
+                lambda inst, opt: inst.domain_ctx.space.regular),
+    "semi-regular": (_semi_regular, lambda inst, opt: _semi_regular(inst.domain_ctx, opt)),
+    "open": (lambda ctx, opt: ctx.space.open_op,
+             lambda inst, opt: inst.domain_ctx.space.open_op and inst.codomain_ctx.space.open_op),
+    "monotone": (lambda ctx, opt: ctx.space.monotone,
+                 lambda inst, opt: (inst.domain_ctx.space.monotone
+                                    and inst.codomain_ctx.space.monotone)),
+    "bijective": (None, lambda inst, opt: inst.map.bijective),
+    "semi-continuous": (None, lambda inst, opt: _continuity(inst)),
+    "semi-open-map": (None, lambda inst, opt: _semi_open_map(inst)),
+}
+KNOWN_HYPOTHESES = tuple(HYPOTHESES)
+
+
+def _hypothesis_names(arg: str, names: Iterable[str]) -> tuple:
     # a lone string would be read letter by letter
     if isinstance(names, str):
         raise ValueError(f"{arg}={names!r} is one string; {arg} takes hypothesis names, "
                          f"such as [{names!r}]")
+    names = tuple(names)
+    for name in names:
+        if name not in HYPOTHESES:
+            raise ValueError(f"unknown hypothesis {name!r}")
     return names
 
 
@@ -63,14 +83,11 @@ class EvalOptions(FrozenValue):
         # hashable fields, so that options can key the gate cache
         drop = frozenset(_hypothesis_names("drop", drop))
         if require is not None:
-            require = tuple(_hypothesis_names("require", require))
+            require = _hypothesis_names("require", require)
         if semi_regular_variant not in SEMI_REGULAR_VARIANTS:
             raise ValueError(f"unknown semi-regular variant {semi_regular_variant!r}")
         if interior_reading not in INTERIOR_READINGS:
             raise ValueError(f"unknown interior reading {interior_reading!r}")
-        for name in (*drop, *(require or ())):
-            if name not in KNOWN_HYPOTHESES:
-                raise ValueError(f"unknown hypothesis {name!r}")
         self._set(semi_regular_variant, interior_reading, drop, require)
         # taken once, as every evaluation looks its options up in the gate cache
         object.__setattr__(self, "_hash", hash(self._key))
@@ -101,6 +118,8 @@ class Claim(FrozenValue):
         detail: Optional[Callable[[object, EvalOptions, tuple], dict]] = None,
         term: Optional[_Term] = None,               # a T/P/L space claim's statement
     ):
+        # checked here, as the gate would meet an unknown name only once it runs
+        hypotheses = _hypothesis_names("hypotheses", hypotheses)
         self._set(id, kind, statement, bindings, holds, hypotheses, slots, fixture,
                   uses_sr_variant, detail, term)
 
@@ -388,16 +407,6 @@ def _reported_sweep(family: tuple, full: Mask) -> tuple:
     return interval_family(
         (o, meet_of_supersets(o, closed, full)) for o in family
     )
-
-
-def _sr_flag(space, opt: EvalOptions) -> bool:
-    if opt.semi_regular_variant == "cap":
-        return space.semi_regular_cap
-    return space.semi_regular_cup
-
-
-def _semi_regular(ctx, opt):
-    return _sr_flag(ctx.space, opt)
 
 
 def _tau(ctx, opt):

@@ -395,6 +395,26 @@ class TestInputErrors:
             capsys, "'z'")
 
 
+def test_check_and_search_share_the_evaluation_flags():
+    import argparse
+
+    from topogamma.cli import _build_parser
+
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(command):
+        return {
+            a.option_strings[0]: (a.choices, a.default, a.help)
+            for a in commands.choices[command]._actions
+            if a.option_strings[0] in ("--closure", "--sr", "--interior", "--drop")
+        }
+
+    assert sorted(flags("check")) == ["--closure", "--drop", "--interior", "--sr"]
+    assert flags("search") == flags("check")
+    assert flags("search")["--drop"][2] is not None
+
+
 def test_module_entry_point(files):
     import subprocess
     import sys

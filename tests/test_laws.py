@@ -20,7 +20,8 @@ from topogamma import (
 )
 from topogamma.claims import CONFIRMED, REFUTED, VACUOUS, EvalOptions, SearchConfig
 from topogamma.maps import MapInstance, PointMap
-from topogamma.fixtures import U3
+from topogamma.registry import HYPOTHESES, KNOWN_HYPOTHESES
+from topogamma.fixtures import FIXTURE_ORDER, U3
 
 EMPTY, A, B, AB, C, AC, BC, X = 0, 1, 2, 3, 4, 5, 6, 7
 
@@ -46,6 +47,17 @@ class TestRegistry:
 
     def test_t413_needs_bijection(self):
         assert get_claim("T4.13").hypotheses == ("bijective",)
+
+    def test_each_hypothesis_is_declared_once(self):
+        assert KNOWN_HYPOTHESES == tuple(HYPOTHESES) == (
+            "regular", "semi-regular", "open", "monotone",
+            "bijective", "semi-continuous", "semi-open-map",
+        )
+        # every hypothesis reads a map instance; the map's own ones read no space
+        assert all(map_reader is not None for _, map_reader in HYPOTHESES.values())
+        assert [h for h, (space_reader, _) in HYPOTHESES.items() if space_reader is None] == [
+            "bijective", "semi-continuous", "semi-open-map",
+        ]
 
     def test_unknown_claim(self):
         with pytest.raises(UnknownClaim):
@@ -120,6 +132,32 @@ class TestEvaluate:
             evaluate_claim("T4.2", fid)
         with pytest.raises(ShapeMismatch):
             evaluate_claim("T3.14", (fid, fid))
+
+    @pytest.mark.parametrize("fixture", FIXTURE_ORDER)
+    def test_space_claim_refuses_a_map_hypothesis_on_every_fixture(self, catalog, fixture):
+        # refused before any hypothesis is read, so also where `regular` fails (F3)
+        opt = EvalOptions(require=("regular", "bijective"))
+        with pytest.raises(ValueError, match="'bijective' does not apply to a space claim"):
+            evaluate_claim("T3.13", catalog[fixture], opt)
+
+    @pytest.mark.parametrize("shape", ["space", "1-tuple", "string", "3-tuple", "string pair"])
+    @pytest.mark.parametrize("call", [
+        lambda instance: evaluate_claim("T4.6", instance),
+        lambda instance: reevaluate_witness(
+            "T4.6", instance, {"binding": [], "assign": {"a": "a", "b": "b", "c": "c"}}),
+    ], ids=["evaluate", "reevaluate"])
+    def test_map_claim_refuses_a_bad_shape(self, fid, shape, call):
+        instance = {"space": fid, "1-tuple": (fid,), "string": "F1",
+                    "3-tuple": (fid, fid, fid), "string pair": ("F1", "F1")}[shape]
+        with pytest.raises(ShapeMismatch, match="map claim needs"):
+            call(instance)
+
+    @pytest.mark.parametrize("options", [{"drop": ["regular"]}, "cap", 0])
+    def test_options_must_be_eval_options(self, f5, options):
+        with pytest.raises(ValueError, match="options must be an EvalOptions"):
+            evaluate_claim("T3.24", f5, options)
+        with pytest.raises(ValueError, match="options must be an EvalOptions"):
+            reevaluate_witness("T3.24", f5, {"binding": [A, BC]}, options)
 
     def test_fixture_claim_refuses_other_space(self, catalog, f5):
         # E3.2a compares F1's reported family; on F5 it must not refute

@@ -62,9 +62,10 @@ PUBLIC_API = (
 )
 
 # the functions that only range-checked a mask and read one cached table
-# (or returned one cached family), each with the read that replaced it in
-# CHANGES.md
+# (or returned one cached family), and the call of an operation, which only
+# indexed its table; each with the read that replaced it in CHANGES.md
 REMOVED = {
+    "GammaOperation": ("__call__",),
     "core": ("interior", "closure", "boundary", "is_semi_open"),
     "gamma": ("int_gamma", "gamma_open_family", "cl_gamma", "cl_gamma_lattice",
               "int_gamma_lattice", "is_gamma_closed", "bd_gamma"),
@@ -100,9 +101,9 @@ def test_public_names_are_the_documented_list():
 
 
 def test_removed_forwarders_stay_removed():
-    for module, names in REMOVED.items():
-        defined = vars(getattr(topogamma, module))
-        assert [name for name in names if name in defined] == [], module
+    for owner, names in REMOVED.items():
+        defined = vars(getattr(topogamma, owner))
+        assert [name for name in names if name in defined] == [], owner
 
 
 def test_moved_tables_stay_moved():

@@ -15,11 +15,12 @@ from topogamma.claims import (
     EvalOptions,
     SearchConfig,
     _context_stream,
-    _hypothesis_met,
     evaluate_claim,
     list_claims,
 )
-from topogamma.registry import _BINDINGS, _FAMILY, _LAWS, _VOCABULARY, _dependency, _space_claim
+from topogamma.registry import (
+    HYPOTHESES, _BINDINGS, _FAMILY, _LAWS, _VOCABULARY, _dependency, _space_claim,
+)
 from topogamma.core import submasks, supersets
 from topogamma.ops import BUILTIN_KINDS
 
@@ -243,7 +244,7 @@ def test_predicates_match_reference(closure):
             for claim in claims:
                 label = (claim.id, ctx.describe(), opt)
                 for h in claim.hypotheses:
-                    assert _hypothesis_met(h, ctx, opt) == _ref_hypothesis(h, ref), label
+                    assert HYPOTHESES[h][0](ctx, opt) == _ref_hypothesis(h, ref), label
                 bindings, holds = REFERENCE[claim.id]
                 expected = bindings(ref)
                 assert list(claim.bindings(ctx)) == expected, label

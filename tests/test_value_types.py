@@ -4,6 +4,7 @@ every field they are given."""
 import pytest
 
 from topogamma import (
+    Claim,
     EvalOptions,
     GammaOperation,
     PointMap,
@@ -54,20 +55,33 @@ EQUAL_PAIRS = [
 ]
 
 
+def _claim(hypotheses):
+    return Claim("X", "space", "a law", bindings=lambda ctx: [()],
+                 holds=lambda ctx, opt, b: True, hypotheses=hypotheses)
+
+
 def test_list_fields_are_stored_as_tuples():
     assert Topology(U2, [0, 1, 3]).opens == (0, 1, 3)
     assert isinstance(Topology(U2, [0, 1, 3]).opens, tuple)
     assert isinstance(PointMap(U2, U2, [1, 0]).assignment, tuple)
+    # a claim's hypotheses key the gate cache, so a list must not reach it
+    assert _claim(["open"]).hypotheses == ("open",)
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: EvalOptions(drop="open"), id="EvalOptions-drop"),
     pytest.param(lambda: EvalOptions(require="open"), id="EvalOptions-require"),
+    pytest.param(lambda: _claim("open"), id="Claim-hypotheses"),
 ])
 def test_a_bare_string_of_hypotheses_is_refused(make):
     # read letter by letter, it would be refused for a letter it never named
     with pytest.raises(ValueError, match="'open' is one string.*takes hypothesis names"):
         make()
+
+
+def test_a_claim_refuses_an_unknown_hypothesis():
+    with pytest.raises(ValueError, match="unknown hypothesis 'regualr'"):
+        _claim(("regualr",))
 
 
 @pytest.mark.parametrize("assignment", [(0.5, 1), (1, "0"), (1, None)])
