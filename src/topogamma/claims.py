@@ -35,7 +35,7 @@ from .registry import (
     get_claim,
     list_claims,
 )
-from .semistar import SemistarContext, shared_contexts
+from .semistar import InteriorTables, SemistarContext, shared_contexts
 
 # a (domain, codomain) pair sweeps every point map up to MAP_CAP of them,
 # and beyond that a sample of MAP_CAP drawn with seed MAP_SEED
@@ -253,15 +253,35 @@ def evaluate_claim(claim_or_id, instance, options: Optional[EvalOptions] = None,
 
 def reevaluate_witness(claim_or_id, instance, witness: dict,
                        options: Optional[EvalOptions] = None) -> bool:
-    """True when the stored witness still falsifies the claim on re-evaluation."""
+    """True when the stored witness still falsifies the claim on re-evaluation.
+
+    Raises ShapeMismatch when a map claim given a (domain, codomain) pair
+    gets no `assign`, or when the witness's binding does not fill the
+    claim's slots; MaskOutOfRange when a set slot holds no subset of the
+    universe."""
     claim = claim_or_id if isinstance(claim_or_id, Claim) else get_claim(claim_or_id)
     opt = _options(options)
-    binding = tuple(witness.get("binding", ()))
     subject = _subject(claim, instance)
     if isinstance(subject, tuple):
+        if "assign" not in witness:
+            raise ShapeMismatch(
+                f"claim {claim.id} on a (domain, codomain) pair needs the witness's "
+                f"'assign' key, the point map"
+            )
         ctx_x, ctx_y = subject
         pm = PointMap.from_labels(ctx_x.universe, ctx_y.universe, witness["assign"])
         subject = MapInstance(ctx_x, ctx_y, pm)
+    binding = tuple(witness.get("binding", ()))
+    if len(binding) != len(claim.slots):
+        names = ", ".join(name for name, _ in claim.slots)
+        raise ShapeMismatch(
+            f"claim {claim.id} needs a witness binding for the slots ({names}), "
+            f"got {len(binding)} value(s)"
+        )
+    universe = subject.universe if claim.kind == "space" else subject.domain_ctx.universe
+    for (_, kind), value in zip(claim.slots, binding):
+        if kind == _SET:
+            universe.check(value)
     return not claim.holds(subject, opt, binding)
 
 
@@ -510,13 +530,20 @@ def _fixture_meta() -> dict:
 
 def _structural_sweeps(max_n: int) -> list:
     # the stream yields the builtins first, so its first len(BUILTIN_KINDS)
-    # operations per topology are exactly the builtins; one context per
-    # (space, closure), shared by every structural claim
+    # operations per topology are exactly the builtins. Each space is built
+    # once and read under both closures: one context per (space, closure),
+    # shared by every structural claim, and spaces that share pointwise
+    # tables share lattice ones
+    pointwise = list(_context_stream(SearchConfig(max_n, len(BUILTIN_KINDS))))
+    lattice_of: dict = {}
+    for ctx in pointwise:
+        if ctx.tables not in lattice_of:
+            lattice_of[ctx.tables] = InteriorTables(
+                ctx.space.topology, ctx.tables.int_pointwise_table, "lattice")
     contexts = {
-        closure_variant: list(_context_stream(
-            SearchConfig(max_n, len(BUILTIN_KINDS), closure_variant=closure_variant)
-        ))
-        for closure_variant in CLOSURE_VARIANTS
+        "pointwise": pointwise,
+        "lattice": [SemistarContext(ctx.space, "lattice", lattice_of[ctx.tables])
+                    for ctx in pointwise],
     }
     rows = []
     for cid in STRUCTURAL_IDS:

@@ -9,7 +9,7 @@ package.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -145,6 +145,11 @@ class Universe(FrozenValue):
         """Entry A has bit B set for every superset B of A."""
         return tuple(sum(1 << s for s in above) for above in self.superset_table)
 
+    @cached_property
+    def subset_bits(self) -> tuple[int, ...]:
+        """Entry A has bit B set for every subset B of A."""
+        return tuple(sum(1 << s for s in submasks(a)) for a in range(self.full + 1))
+
     def names_of(self, mask: Mask) -> tuple[str, ...]:
         self.check(mask)
         return self.names_table[mask]
@@ -186,18 +191,25 @@ def supersets(mask: Mask, full: Mask) -> Iterator[Mask]:
         s = (s + 1) | mask
 
 
+@lru_cache(maxsize=None)
+def _push_up_pairs(size: int) -> tuple[tuple[Mask, Mask], ...]:
+    """(A, A - {x}) for every mask A below `size` and point x of A, one
+    point at a time: the steps that push a power-set table up."""
+    return tuple(
+        (a, a ^ bit)
+        for bit in (1 << i for i in range(size.bit_length() - 1))
+        for a in range(size) if a & bit
+    )
+
+
 def image_joins(family: tuple[Mask, ...], table: Sequence[Mask]) -> tuple[Mask, ...]:
     """Per mask A, the union of the family members whose image fits in A:
     each member is put at its image, then pushed up one point at a time."""
     out = [0] * len(table)
     for m in family:
         out[table[m]] |= m
-    bit = 1
-    while bit < len(out):
-        for a in range(len(out)):
-            if a & bit:
-                out[a] |= out[a ^ bit]
-        bit <<= 1
+    for a, below in _push_up_pairs(len(out)):
+        out[a] |= out[below]
     return tuple(out)
 
 

@@ -42,8 +42,10 @@ class GammaSpace:
             raise ValueError("operation table does not cover the power set of the universe")
         # the interior kernel and every table built on it rely on V inside
         # gamma(V) for every open V, so the table itself is checked, not its flag
-        if any(v & ~gamma.table[v] for v in topology.opens):
-            raise ValueError("operation must be expansive on the open sets")
+        table = gamma.table
+        for v in topology.opens:
+            if v & ~table[v]:
+                raise ValueError("operation must be expansive on the open sets")
         self.topology = topology
         self.gamma = gamma
         self.universe = topology.universe

@@ -28,24 +28,27 @@ class GammaOperation(FrozenValue):
         self._set(table, origin)
 
 
-def _finish(topology: Topology, table: list[Mask], origin: str) -> GammaOperation:
+def _finish(topology: Topology, table: tuple[Mask, ...], origin: str) -> GammaOperation:
     for v in topology.opens:
         if v & ~table[v]:
             raise NotExpansiveOnOpens(v)
-    return GammaOperation(tuple(table), origin)
+    return GammaOperation(table, origin)
+
+
+def _builtin_table(kind: str, topology: Topology) -> tuple[Mask, ...]:
+    if kind == "identity":
+        return tuple(range(topology.full + 1))
+    if kind == "closure":
+        return topology.closure_table
+    interior = topology.interior_table
+    return tuple([interior[c] for c in topology.closure_table])
 
 
 def gamma_builtin(kind: str, topology: Topology) -> GammaOperation:
     """One of the three stock operations: identity, closure, interior of closure."""
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin kind {kind!r}, expected one of {BUILTIN_KINDS}")
-    if kind == "identity":
-        table = list(range(topology.full + 1))
-    elif kind == "closure":
-        table = list(topology.closure_table)
-    else:
-        table = [topology.interior_table[c] for c in topology.closure_table]
-    return _finish(topology, table, kind)
+    return _finish(topology, _builtin_table(kind, topology), kind)
 
 
 def gamma_from_table(
@@ -66,7 +69,7 @@ def gamma_from_table(
         table = list(topology.closure_table)
     for key, value in entries.items():
         table[universe.check(key)] = universe.check(value)
-    return _finish(topology, table, "table")
+    return _finish(topology, tuple(table), "table")
 
 
 # kept for the benchmark tracer, which spans it; the package builds
@@ -89,7 +92,8 @@ def enumerate_operations(
     The three builtins come first, then explicit tables whose keys range
     over the selected domain and whose values range over supersets of each
     key (so every table is expansive by construction), identity fill
-    elsewhere. Stops after `budget` operations when given.
+    elsewhere. Stops after `budget` operations when given. Nothing is
+    checked here: `GammaSpace` checks each table it is given.
     """
     if domain not in OPERATION_DOMAINS:
         raise ValueError(f"unknown domain {domain!r}, expected one of {OPERATION_DOMAINS}")
@@ -97,15 +101,21 @@ def enumerate_operations(
         return
     emitted = 0
     for kind in BUILTIN_KINDS:
-        yield gamma_builtin(kind, topology)
+        # expansive on the opens of any topology: an open V lies in cl(V),
+        # and V = int(V) lies in int(cl(V))
+        yield GammaOperation(_builtin_table(kind, topology), kind)
         emitted += 1
         if budget is not None and emitted >= budget:
             return
     # every open set is semi-open, so the semi-open domain holds the opens
     keys = topology.opens if domain == "opens" else topology.semi_opens
     choice_lists = [topology.universe.superset_table[k] for k in keys]
+    identity = list(range(topology.full + 1))
     for combo in product(*choice_lists):
-        yield gamma_from_table(topology, dict(zip(keys, combo)), fill="identity")
+        table = identity.copy()
+        for key, value in zip(keys, combo):
+            table[key] = value
+        yield GammaOperation(tuple(table), "table")
         emitted += 1
         if budget is not None and emitted >= budget:
             return

@@ -228,17 +228,20 @@ _BINDINGS = {
 
 # --- space claims as terms ------------------------------------------------------
 
-# What a name can depend on. A family-only name is a function of the
-# semi-open family alone (which holds X, so it fixes the universe too);
-# a space name of the topology and the operation; a context name of those
-# and the closure variant.
-_FAMILY = "semi-open family"
+# What a name can depend on, from least to most. A family name is a
+# function of the semi-open family alone (which holds X, so it fixes the
+# universe too); a tables name, of the context's `InteriorTables` (the
+# pointwise interior table and the closure variant); a space name, of the
+# topology and the operation.
+_FAMILY = "family"
+_TABLES = "tables"
 _SPACE = "space"
-_CONTEXT = "context"
+_LEVELS = (_FAMILY, _TABLES, _SPACE)
 
 # The names a term may read: what a sweep binds each to (None: a function
-# of the sweep's namespace, or the context itself), and what it depends on,
-# per interior reading where the reading matters.
+# of the sweep's namespace), and what it depends on, per interior reading
+# where the reading matters. A name that can reach `ctx.space` is a space
+# name.
 _VOCABULARY = {
     "full": ("ctx.full", _FAMILY),
     "so": ("ctx.tables.so_set", _FAMILY),
@@ -250,13 +253,14 @@ _VOCABULARY = {
     "si": ("ctx.tables.sint_table if opt.interior_reading == 'lattice' "
            "else ctx.space.sint_pointwise_table",
            {"lattice": _FAMILY, "pointwise": _SPACE}),
-    "tau": ("ctx.tables.tau_gamma", _SPACE),
-    "cl": ("ctx.tables.cl_table", _CONTEXT),
-    "int": ("ctx.tables.int_table", _CONTEXT),
-    "bd": ("ctx.tables.bd_table", _CONTEXT),
-    "sandwich_closed": (None, _CONTEXT),
-    "int_of_cl_closed": (None, _CONTEXT),
-    "ctx": (None, _CONTEXT),
+    "tau": ("ctx.tables.tau_gamma", _TABLES),
+    "cl": ("ctx.tables.cl_table", _TABLES),
+    "int": ("ctx.tables.int_table", _TABLES),
+    "bd": ("ctx.tables.bd_table", _TABLES),
+    "tables": ("ctx.tables", _TABLES),
+    # functions of the tables they are passed
+    "sandwich_closed": (None, _FAMILY),
+    "int_of_cl_closed": (None, _FAMILY),
 }
 
 
@@ -281,8 +285,8 @@ class _Term:
         self.memo: dict = {}
 
     def __getattr__(self, name: str):
-        # `reads`, `family_only` and `sweep` are set by the compile
-        if name not in ("reads", "family_only", "sweep"):
+        # `reads`, `level` and `sweep` are set by the compile
+        if name not in ("reads", "level", "sweep"):
             raise AttributeError(name)
         self._compile()
         return vars(self)[name]
@@ -308,24 +312,32 @@ class _Term:
         namespace = {"sandwich_closed": sandwich_closed, "int_of_cl_closed": int_of_cl_closed}
         exec(compile(source, f"<claim {self.cid}>", "exec"), namespace)
         self.reads = reads
-        self.family_only = {
-            reading: all(_dependency(name, reading) == _FAMILY
-                         for name in reads | set(self.binding_reads))
+        # per reading, the most the term and its bindings depend on
+        self.level = {
+            reading: max((_dependency(name, reading) for name in reads | set(self.binding_reads)),
+                         key=_LEVELS.index)
             for reading in INTERIOR_READINGS
         }
         self.sweep = namespace["sweep"]
 
     def first_failure(self, ctx: SemistarContext, opt: EvalOptions, bindings) -> Optional[tuple]:
-        """`sweep` over `bindings`; where the term and its bindings read only
-        the semi-open family, the answer is looked up by the family and
-        swept only on a miss. The answer is then a function of the family,
-        so concurrent fills of one key store the same value."""
-        if not self.family_only[opt.interior_reading]:
+        """`sweep` over `bindings`, looked up where the term and its
+        bindings read only the semi-open family (keyed by the family, in
+        this term's memo) or only the context's tables (keyed by this term,
+        in the tables' `first_failures`), and swept only on a miss. Below
+        the space level a term reads `opt` only as the lattice reading of
+        `si`, so the answer is a function of the key, and concurrent fills
+        of one key store the same value."""
+        level = self.level[opt.interior_reading]
+        if level == _FAMILY:
+            memo, key = self.memo, ctx.tables.so_family
+        elif level == _TABLES:
+            memo, key = ctx.tables.first_failures, self
+        else:
             return self.sweep(ctx, opt, bindings)
-        key = ctx.tables.so_family
-        if key not in self.memo:
-            self.memo[key] = self.sweep(ctx, opt, bindings)
-        return self.memo[key]
+        if key not in memo:
+            memo[key] = self.sweep(ctx, opt, bindings)
+        return memo[key]
 
 
 # --- map predicates and equivalence sides: side(inst) ---------------------------
@@ -518,9 +530,9 @@ _LAWS = (
     ("P3.28.2", "sext*(A n B) contains sext*(A) u sext*(B)", _pairs,
      "(sint[full ^ A] | sint[full ^ B]) & ~sint[full ^ (A & B)] == 0", _SR),
     ("P3.29", "A semi-closed iff some gamma-closed F has int_g(F) inside A inside F", _masks,
-     "sandwich_closed(ctx, A) == (A in sc)"),
+     "sandwich_closed(tables, A) == (A in sc)"),
     ("T3.30", "A semi-closed iff int_g(cl_g(A)) inside A", _masks,
-     "int_of_cl_closed(ctx, A) == (A in sc)"),
+     "int_of_cl_closed(tables, A) == (A in sc)"),
     ("L4.4", "semi-open A inside B implies A inside cl_g(int_g(B))", _so_with_supersets,
      "A & ~cl[int[B]] == 0"),
     ("L4.10", "A inside semi-closed B implies sbd*(A) inside B", _subset_of_sc,

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import and_
 from typing import Iterable, Iterator, Optional
 
-from .core import Mask, Topology, dual_table, image_joins, interval_family
+from .core import Mask, Topology, dual_table, image_joins
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .ops import GammaOperation
 
@@ -41,6 +41,9 @@ class InteriorTables:
         self.closure_variant = closure_variant
         self.universe = topology.universe
         self.full: Mask = topology.full
+        # first failure per term that reads nothing beyond these tables
+        # (`registry._Term.first_failure`)
+        self.first_failures: dict = {}
 
     @cached_property
     def tau_gamma(self) -> tuple[Mask, ...]:
@@ -75,11 +78,14 @@ class InteriorTables:
     # starred semi families ---------------------------------------------
     @cached_property
     def so_family(self) -> tuple[Mask, ...]:
-        # one interval [O, cl(O)] per gamma-open O; the union of the
+        # one interval [O, cl(O)] per gamma-open O, as the bits of the
+        # supersets of O that are subsets of cl(O); the union of the
         # intervals is the whole family
-        return interval_family(
-            (o, self.cl_table[o]) for o in self.tau_gamma
-        )
+        up, down, cl = self.universe.superset_bits, self.universe.subset_bits, self.cl_table
+        bits = 0
+        for o in self.tau_gamma:
+            bits |= up[o] & down[cl[o]]
+        return tuple([a for a in range(self.full + 1) if bits >> a & 1])
 
     @cached_property
     def so_set(self) -> frozenset:
@@ -153,13 +159,12 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
         yield SemistarContext(space, closure_variant, tables)
 
 
-def sandwich_closed(ctx: SemistarContext, mask: Mask) -> bool:
+def sandwich_closed(tables: InteriorTables, mask: Mask) -> bool:
     """Some gamma-closed F has int_g(F) inside `mask` inside F (unchecked)."""
-    int_g = ctx.tables.int_table
-    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in ctx.tables.gamma_closed_family)
+    int_g = tables.int_table
+    return any(int_g[f] & ~mask == 0 and mask & ~f == 0 for f in tables.gamma_closed_family)
 
 
-def int_of_cl_closed(ctx: SemistarContext, mask: Mask) -> bool:
+def int_of_cl_closed(tables: InteriorTables, mask: Mask) -> bool:
     """int_g(cl_g(`mask`)) stays inside `mask` (unchecked)."""
-    tables = ctx.tables
     return tables.int_table[tables.cl_table[mask]] & ~mask == 0

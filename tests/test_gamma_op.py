@@ -158,3 +158,25 @@ class TestEnumeration:
     def test_unknown_domain(self):
         with pytest.raises(ValueError):
             list(enumerate_operations(tau1(), domain="closed"))
+
+    def test_stream_builds_what_the_checked_constructors_build(self, monkeypatch):
+        # the stream's operations are valid by construction, so it checks
+        # none of them (GammaSpace checks each table it is given); they equal
+        # the operations the checked constructors build from the same choices
+        from topogamma import Universe, ops
+
+        def unchecked(*args):
+            raise AssertionError("the stream checked an operation")
+
+        t = tau2()
+        for domain in ("opens", "semi-opens"):
+            with monkeypatch.context() as patch:
+                patch.setattr(Universe, "check", unchecked)
+                patch.setattr(ops, "_finish", unchecked)
+                streamed = list(enumerate_operations(t, domain))
+            keys = t.opens if domain == "opens" else t.semi_opens
+            assert streamed[:3] == [gamma_builtin(kind, t) for kind in ops.BUILTIN_KINDS]
+            assert streamed[3:] == [
+                gamma_from_table(t, {k: g.table[k] for k in keys}) for g in streamed[3:]
+            ]
+            assert len(set(streamed)) == len(streamed)

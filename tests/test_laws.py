@@ -3,6 +3,7 @@ import pytest
 
 from topogamma import (
     GammaSpace,
+    MaskOutOfRange,
     SemistarContext,
     ShapeMismatch,
     UnknownClaim,
@@ -166,6 +167,21 @@ class TestEvaluate:
         with pytest.raises(ShapeMismatch):
             reevaluate_witness("E3.2a", f5, {"binding": []})
         assert evaluate_claim("E3.2a", catalog["F1"]).status == REFUTED
+
+    @pytest.mark.parametrize("claim_id, pair, witness, error, match", [
+        ("T4.6", True, {"binding": [1]}, ShapeMismatch, "'assign'"),
+        ("T4.7", True, {"binding": [], "assign": {"a": "a", "b": "b", "c": "c"}},
+         ShapeMismatch, r"slots \(A\), got 0"),
+        ("T3.13", False, {"binding": [1]}, ShapeMismatch, r"slots \(A, B\), got 1"),
+        ("T3.13", False, {}, ShapeMismatch, r"slots \(A, B\), got 0"),
+        ("T3.14", False, {"binding": [1, 2, 3]}, ShapeMismatch, r"slots \(A, clause\)"),
+        ("T3.13", False, {"binding": [1, 8]}, MaskOutOfRange, "3-point"),
+        ("T3.13", False, {"binding": [1, True]}, MaskOutOfRange, "True"),
+    ])
+    def test_reevaluate_refuses_a_malformed_witness(self, fid, claim_id, pair, witness, error,
+                                                    match):
+        with pytest.raises(error, match=match):
+            reevaluate_witness(claim_id, (fid, fid) if pair else fid, witness)
 
     def test_accepts_context_instance(self, f5):
         ctx = SemistarContext(f5, "lattice")
@@ -361,3 +377,26 @@ def test_structural_sweeps_match_a_plain_loop(monkeypatch):
     assert claims._structural_sweeps(3) == expected
     assert [row["refuted"] for row in expected] == [0, 0, 6, 6, 84, 84]
     assert expected[2]["first_witness"]["witness"]["slots"]
+
+
+def test_audit_builds_each_builtin_space_once(monkeypatch):
+    # the structural sweeps read every (topology, builtin) space under both
+    # closures from one GammaSpace; the rest of the audit builds the fixture
+    # catalog a bounded number of times
+    from topogamma import claims
+    from topogamma.ops import BUILTIN_KINDS
+
+    built = []
+    init = GammaSpace.__init__
+
+    def counted(space, *args):
+        built.append(space)
+        init(space, *args)
+
+    monkeypatch.setattr(GammaSpace, "__init__", counted)
+    claims._structural_sweeps(claims.SWEEP_MAX_N)
+    assert len(built) == (1 + 4 + 29) * len(BUILTIN_KINDS) == 102
+    assert len({(s.topology, s.gamma) for s in built}) == 102
+    built.clear()
+    audit_paper()
+    assert 102 < len(built) <= 144

@@ -179,18 +179,18 @@ class TestPreOpen:
 class TestClosedChecks:
     def test_identity_c(self, fid):
         ctx = ctx_of(fid)
-        assert sandwich_closed(ctx, C) and int_of_cl_closed(ctx, C) and C in ctx.tables.sc_set
+        assert sandwich_closed(ctx.tables, C) and int_of_cl_closed(ctx.tables, C) and C in ctx.tables.sc_set
 
     def test_whole_space(self, catalog):
         for space in catalog.values():
             ctx = ctx_of(space)
-            assert sandwich_closed(ctx, X) and int_of_cl_closed(ctx, X) and X in ctx.tables.sc_set
+            assert sandwich_closed(ctx.tables, X) and int_of_cl_closed(ctx.tables, X) and X in ctx.tables.sc_set
 
     def test_f5_a(self, f5):
         ctx = ctx_of(f5)
         # int_g(cl_g({a})) = int_g({a,b}) = {a} stays inside {a}; and {a}
         # is semi-closed because {b,c} is semi-open
-        assert int_of_cl_closed(ctx, A)
+        assert int_of_cl_closed(ctx.tables, A)
         assert A in ctx.tables.sc_set
 
 

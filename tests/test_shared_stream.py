@@ -5,7 +5,8 @@ that of a fresh SemistarContext(GammaSpace(topology, op), closure),
 whatever the order in which the stream's consumer read them. Contexts of
 one topology must hold the same InteriorTables exactly when their
 pointwise interior tables are equal, so the fills come to one per key,
-and the kernels under the tables must equal their definitions."""
+and the kernels under the tables (`image_joins` and the bitset semi-open
+family) must equal their definitions."""
 from functools import cached_property
 
 import pytest
@@ -154,14 +155,43 @@ def test_kernels_match_their_definitions():
     universe = Universe(("a", "b", "c", "d"))
     for a, bits in enumerate(universe.superset_bits):
         assert [b for b in range(16) if bits >> b & 1] == list(supersets(a, 15))
-    for topology in enumerate_topologies(3):
-        for op in enumerate_operations(topology, "semi-opens", 16):
-            for family in (topology.opens, topology.semi_opens):
-                expected = []
-                for a in range(8):
-                    joined = 0
-                    for m in family:
-                        if op.table[m] & ~a == 0:
-                            joined |= m
-                    expected.append(joined)
-                assert image_joins(family, op.table) == tuple(expected)
+    for a, bits in enumerate(universe.subset_bits):
+        assert [b for b in range(16) if bits >> b & 1] == list(submasks(a))
+    # every operation the stream builds over the opens on at most 3 points,
+    # and the first 16 over the semi-opens on 3 points
+    cases = [
+        (topology, op)
+        for n in (1, 2, 3)
+        for topology in enumerate_topologies(n)
+        for op in enumerate_operations(topology, "opens", None)
+    ]
+    assert len(cases) == 9188
+    cases += [
+        (topology, op)
+        for topology in enumerate_topologies(3)
+        for op in enumerate_operations(topology, "semi-opens", 16)
+    ]
+    for topology, op in cases:
+        for family in (topology.opens, topology.semi_opens):
+            expected = []
+            for a in range(topology.full + 1):
+                joined = 0
+                for m in family:
+                    if op.table[m] & ~a == 0:
+                        joined |= m
+                expected.append(joined)
+            assert image_joins(family, op.table) == tuple(expected)
+
+
+@pytest.mark.parametrize("closure", ["pointwise", "lattice"])
+def test_semi_open_family_is_the_union_of_the_intervals(closure):
+    # the masks between some gamma-open O and its closure, in ascending
+    # order, on every operation over the opens on at most 3 points
+    for n in (1, 2, 3):
+        for topology in enumerate_topologies(n):
+            for op in enumerate_operations(topology, "opens", None):
+                interior = GammaSpace(topology, op).int_pointwise_table
+                tables = InteriorTables(topology, interior, closure)
+                cl = tables.cl_table
+                union = {o | e for o in tables.tau_gamma for e in submasks(cl[o] & ~o)}
+                assert tables.so_family == tuple(sorted(union)), (topology, op)

@@ -19,7 +19,8 @@ from topogamma.claims import (
     list_claims,
 )
 from topogamma.registry import (
-    HYPOTHESES, _BINDINGS, _FAMILY, _LAWS, _VOCABULARY, _dependency, _space_claim,
+    HYPOTHESES, _BINDINGS, _FAMILY, _LAWS, _SPACE, _TABLES, _VOCABULARY, _dependency,
+    _space_claim,
 )
 from topogamma.core import submasks, supersets
 from topogamma.ops import BUILTIN_KINDS
@@ -286,40 +287,41 @@ def test_sweeps_find_the_reference_first_failure(closure):
     assert {("T3.13", False), ("T3.13", True), ("T3.24", False)} <= failures
 
 
-# claim id -> (the vocabulary names its term reads, whether its first
-# failure is reused per semi-open family under the lattice and under the
-# pointwise interior reading)
+# claim id -> (the vocabulary names its term reads, and what its first
+# failure is reused by under the lattice and under the pointwise interior
+# reading: the semi-open family, the context's tables, or nothing)
+F, T, S = _FAMILY, _TABLES, _SPACE
 READS = {
-    "T3.13": ({"scl"}, True, True),
-    "T3.14": ({"full", "scl", "sint"}, True, True),
-    "T3.16": ({"full", "sbd", "scl", "sint"}, True, True),
-    "P3.17a": ({"full", "sbd"}, True, True),
-    "P3.17b": ({"scl"}, True, True),
-    "T3.18.1": ({"sbd", "scl", "sint"}, True, True),
-    "T3.18.2": ({"sbd", "sint"}, True, True),
-    "T3.18.3": ({"sbd", "scl", "sint"}, True, True),
-    "T3.18.4": ({"sbd", "sint"}, True, True),
-    "T3.18.5": ({"sbd", "scl"}, True, True),
-    "T3.18.6": ({"full", "sbd", "sint"}, True, True),
-    "T3.18.7": ({"full", "sbd", "sint"}, True, True),
-    "T3.19.1": ({"so", "sbd"}, True, True),
-    "T3.19.2": ({"sc", "sbd"}, True, True),
-    "T3.20": ({"sbd"}, True, True),
-    "T3.24": ({"so"}, True, True),
-    "T3.26.1": ({"si"}, True, False),
-    "T3.26.2": ({"si"}, True, False),
-    "T3.26.3": ({"si"}, True, False),
-    "T3.27.1": ({"full", "sint"}, True, True),
-    "T3.27.2": ({"full", "sbd", "scl"}, True, True),
-    "T3.27.3": ({"sbd", "scl"}, True, True),
-    "P3.28.1": ({"full", "sint"}, True, True),
-    "P3.28.2": ({"full", "sint"}, True, True),
-    "P3.29": ({"ctx", "sandwich_closed", "sc"}, False, False),
-    "T3.30": ({"ctx", "int_of_cl_closed", "sc"}, False, False),
-    "L4.4": ({"cl", "int"}, False, False),
-    "L4.10": ({"sbd"}, True, True),
-    "P4.11": ({"cl"}, False, False),
-    "L4.12": ({"bd"}, False, False),
+    "T3.13": ({"scl"}, F, F),
+    "T3.14": ({"full", "scl", "sint"}, F, F),
+    "T3.16": ({"full", "sbd", "scl", "sint"}, F, F),
+    "P3.17a": ({"full", "sbd"}, F, F),
+    "P3.17b": ({"scl"}, F, F),
+    "T3.18.1": ({"sbd", "scl", "sint"}, F, F),
+    "T3.18.2": ({"sbd", "sint"}, F, F),
+    "T3.18.3": ({"sbd", "scl", "sint"}, F, F),
+    "T3.18.4": ({"sbd", "sint"}, F, F),
+    "T3.18.5": ({"sbd", "scl"}, F, F),
+    "T3.18.6": ({"full", "sbd", "sint"}, F, F),
+    "T3.18.7": ({"full", "sbd", "sint"}, F, F),
+    "T3.19.1": ({"so", "sbd"}, F, F),
+    "T3.19.2": ({"sc", "sbd"}, F, F),
+    "T3.20": ({"sbd"}, F, F),
+    "T3.24": ({"so"}, F, F),
+    "T3.26.1": ({"si"}, F, S),
+    "T3.26.2": ({"si"}, F, S),
+    "T3.26.3": ({"si"}, F, S),
+    "T3.27.1": ({"full", "sint"}, F, F),
+    "T3.27.2": ({"full", "sbd", "scl"}, F, F),
+    "T3.27.3": ({"sbd", "scl"}, F, F),
+    "P3.28.1": ({"full", "sint"}, F, F),
+    "P3.28.2": ({"full", "sint"}, F, F),
+    "P3.29": ({"tables", "sandwich_closed", "sc"}, T, T),
+    "T3.30": ({"tables", "int_of_cl_closed", "sc"}, T, T),
+    "L4.4": ({"cl", "int"}, T, T),
+    "L4.10": ({"sbd"}, F, F),
+    "P4.11": ({"cl"}, T, T),
+    "L4.12": ({"bd"}, T, T),
 }
 
 
@@ -333,23 +335,23 @@ def test_terms_read_the_pinned_names():
     for cid, (reads, lattice, pointwise) in READS.items():
         term = terms[cid]
         assert term.reads == reads, cid
-        assert term.family_only == {"lattice": lattice, "pointwise": pointwise}, cid
+        assert term.level == {"lattice": lattice, "pointwise": pointwise}, cid
         assert claim_by_id[cid].uses_interior_reading == ("si" in reads), cid
-    assert sum(lattice for _, lattice, _ in READS.values()) == 25
+    assert [lattice for _, lattice, _ in READS.values()].count(F) == 25
+    assert [lattice for _, lattice, _ in READS.values()].count(T) == 5
 
 
-def test_family_only_names_follow_the_family():
-    # on a stream where many contexts of both closures share a semi-open
-    # family, each name declared family-only under a reading binds to one
-    # value per family, and each name declared otherwise takes two values
-    # on some family; likewise for the binding generators
-    contexts = [
+def _search_stream_contexts() -> list:
+    return [
         ctx for closure in ("pointwise", "lattice")
         for ctx in _context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure))
     ]
-    by_family = {}
-    for ctx in contexts:
-        by_family.setdefault(ctx.tables.so_family, []).append(ctx)
+
+
+def _assert_levels_follow(groups, levels) -> None:
+    """Each vocabulary name and binding generator whose level is in
+    `levels` binds one value per group; every other one takes two values
+    on some group."""
     for reading in ("lattice", "pointwise"):
         opt = EvalOptions(interior_reading=reading)
         for name, (source, _) in _VOCABULARY.items():
@@ -357,15 +359,56 @@ def test_family_only_names_follow_the_family():
                 continue
             spread = max(
                 len({eval(source, {"ctx": ctx, "opt": opt}) for ctx in group})
-                for group in by_family.values()
+                for group in groups
             )
-            assert (spread == 1) == (_dependency(name, reading) == _FAMILY), (name, reading)
+            assert (spread == 1) == (_dependency(name, reading) in levels), (name, reading)
     for generator, (_, reads) in _BINDINGS.items():
-        spread = max(
-            len({tuple(generator(ctx)) for ctx in group}) for group in by_family.values()
-        )
-        family_only = all(_dependency(name, "lattice") == _FAMILY for name in reads)
-        assert (spread == 1) == family_only, generator.__name__
+        spread = max(len({tuple(generator(ctx)) for ctx in group}) for group in groups)
+        within = all(_dependency(name, "lattice") in levels for name in reads)
+        assert (spread == 1) == within, generator.__name__
+
+
+def test_family_only_names_follow_the_family():
+    # on a stream where many contexts of both closures share a semi-open
+    # family, each name declared family-only under a reading binds to one
+    # value per family, and each name declared otherwise takes two values
+    # on some family; likewise for the binding generators
+    by_family = {}
+    for ctx in _search_stream_contexts():
+        by_family.setdefault(ctx.tables.so_family, []).append(ctx)
+    _assert_levels_follow(by_family.values(), {_FAMILY})
+
+
+class _WithoutSpace:
+    """A context's full set and tables, with no way to reach its space."""
+
+    def __init__(self, ctx):
+        self.full, self.tables = ctx.full, ctx.tables
+
+
+def test_tables_names_follow_the_tables():
+    # likewise per InteriorTables for the names below the space level, and
+    # those names and every binding generator are read without the space
+    contexts = _search_stream_contexts()
+    by_tables = {}
+    for ctx in contexts:
+        by_tables.setdefault(ctx.tables, []).append(ctx)
+    assert len(by_tables) < len(contexts)
+    _assert_levels_follow(by_tables.values(), {_FAMILY, _TABLES})
+    without_space = _WithoutSpace(contexts[-1])
+    for reading in ("lattice", "pointwise"):
+        opt = EvalOptions(interior_reading=reading)
+        for name, (source, _) in _VOCABULARY.items():
+            if source is None:
+                continue
+            try:
+                eval(source, {"ctx": without_space, "opt": opt})
+            except AttributeError:
+                assert _dependency(name, reading) == _SPACE, (name, reading)
+            else:
+                assert _dependency(name, reading) != _SPACE, (name, reading)
+    for generator in _BINDINGS:
+        assert list(generator(without_space)) == list(generator(contexts[-1]))
 
 
 def _stream_verdicts(claims, contexts, options):
@@ -377,11 +420,14 @@ def _stream_verdicts(claims, contexts, options):
 
 @pytest.mark.parametrize("closure", ["pointwise", "lattice"])
 def test_family_reuse_is_order_free(closure):
-    # a stream on which many contexts share a family, swept by fresh claims
-    # (empty memos), again by the same claims (every family memoized), and
-    # by other fresh claims in reverse order, against the memo-free sweep
-    contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=8, closure_variant=closure)))
+    # the search stream at --max-n 3 --budget 16, on which many contexts
+    # share a family and some share tables, swept by fresh claims (empty
+    # memos), again by the same claims (every family and tables memoized),
+    # and by other fresh claims in reverse order, against the memo-free sweep
+    contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=16,
+                                                 closure_variant=closure)))
     assert len({ctx.tables.so_family for ctx in contexts}) * 8 < len(contexts)
+    assert len({id(ctx.tables) for ctx in contexts}) < len(contexts)
     options = [EvalOptions(interior_reading=reading, require=())
                for reading in ("lattice", "pointwise")]
     cold = [_space_claim(*row) for row in _LAWS]
@@ -416,3 +462,28 @@ def test_sweep_reads_bindings_off_the_claim():
         evaluate_claim(claim, SemistarContext(space, closure))
         # both closures give this space one family, so the second is a hit
         assert taken == [(a,) for a in range(space.full + 1)], closure
+
+
+def test_tables_memo_lives_on_the_tables():
+    # a law that reads the context's tables keeps its first failure on
+    # them, one entry per term, and is swept once per tables object; a
+    # fresh context of the same space starts with an empty memo
+    row = next(r for r in _LAWS if r[0] == "P3.29")
+    claim = _space_claim(*row)
+    assert claim.term.level == {"lattice": _TABLES, "pointwise": _TABLES}
+    swept = []
+    sweep = claim.term.sweep
+
+    def counted(ctx, opt, bindings):
+        swept.append(ctx.tables)
+        return sweep(ctx, opt, bindings)
+
+    claim.term.sweep = counted
+    contexts = list(_context_stream(SearchConfig(max_n=3, op_budget=16)))
+    for ctx in contexts:
+        evaluate_claim(claim, ctx)
+    assert len(swept) == len({id(t) for t in swept}) == len({id(c.tables) for c in contexts})
+    assert len(swept) < len(contexts)
+    for ctx in contexts:
+        assert ctx.tables.first_failures == {claim.term: None}
+    assert SemistarContext(contexts[-1].space).tables.first_failures == {}
