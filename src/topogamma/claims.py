@@ -35,7 +35,7 @@ from .registry import (
     get_claim,
     list_claims,
 )
-from .semistar import InteriorTables, SemistarContext, shared_contexts
+from .semistar import SemistarContext, shared_contexts
 
 # a (domain, codomain) pair sweeps every point map up to MAP_CAP of them,
 # and beyond that a sample of MAP_CAP drawn with seed MAP_SEED
@@ -339,11 +339,15 @@ class SearchOutcome:
         }
 
 
-def _context_stream(config: SearchConfig) -> Iterator[SemistarContext]:
+def _context_stream(config: SearchConfig,
+                    closure_variants: Optional[tuple[str, ...]] = None) -> Iterator[SemistarContext]:
+    """The search's contexts under `config.closure_variant`, or under each
+    of `closure_variants` in turn, one space per operation."""
+    variants = closure_variants or (config.closure_variant,)
     for n in range(1, config.max_n + 1):
         for topology in enumerate_topologies(n):
             ops = enumerate_operations(topology, config.domain, config.op_budget)
-            yield from shared_contexts(topology, ops, config.closure_variant)
+            yield from shared_contexts(topology, ops, variants)
 
 
 def _replayable(stream: Iterator) -> Callable[[], Iterator]:
@@ -530,21 +534,12 @@ def _fixture_meta() -> dict:
 
 def _structural_sweeps(max_n: int) -> list:
     # the stream yields the builtins first, so its first len(BUILTIN_KINDS)
-    # operations per topology are exactly the builtins. Each space is built
-    # once and read under both closures: one context per (space, closure),
-    # shared by every structural claim, and spaces that share pointwise
-    # tables share lattice ones
-    pointwise = list(_context_stream(SearchConfig(max_n, len(BUILTIN_KINDS))))
-    lattice_of: dict = {}
-    for ctx in pointwise:
-        if ctx.tables not in lattice_of:
-            lattice_of[ctx.tables] = InteriorTables(
-                ctx.space.topology, ctx.tables.int_pointwise_table, "lattice")
-    contexts = {
-        "pointwise": pointwise,
-        "lattice": [SemistarContext(ctx.space, "lattice", lattice_of[ctx.tables])
-                    for ctx in pointwise],
-    }
+    # operations per topology are exactly the builtins; each space is built
+    # once and read under both closures, one context per (space, closure)
+    # shared by every structural claim
+    contexts: dict = {closure_variant: [] for closure_variant in CLOSURE_VARIANTS}
+    for ctx in _context_stream(SearchConfig(max_n, len(BUILTIN_KINDS)), CLOSURE_VARIANTS):
+        contexts[ctx.closure_variant].append(ctx)
     rows = []
     for cid in STRUCTURAL_IDS:
         claim = get_claim(cid)

@@ -233,14 +233,18 @@ def dual_table(table: tuple[Mask, ...]) -> tuple[Mask, ...]:
     return tuple([full ^ t for t in reversed(table)])
 
 
-def interval_family(bottoms_with_tops: Iterable[tuple[Mask, Mask]]) -> tuple[Mask, ...]:
-    """All masks sandwiched in some interval [bottom, top], canonical order."""
-    out: set[Mask] = set()
-    for bottom, top in bottoms_with_tops:
-        free = top & ~bottom
-        for extra in submasks(free):
-            out.add(bottom | extra)
-    return tuple(sorted(out))
+def interval_family(bottoms: Iterable[Mask], closure: Sequence[Mask],
+                    universe: Universe) -> tuple[Mask, ...]:
+    """All masks in some interval [B, closure[B]] with B in `bottoms`, in
+    canonical order.
+
+    The interval is the supersets of B that are subsets of closure[B], so as
+    a bit set over the masks it is one AND of two `universe` tables."""
+    up, down = universe.superset_bits, universe.subset_bits
+    bits = 0
+    for bottom in bottoms:
+        bits |= up[bottom] & down[closure[bottom]]
+    return tuple([a for a in range(universe.full + 1) if bits >> a & 1])
 
 
 class Topology(FrozenValue):

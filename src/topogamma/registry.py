@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import maps
-from .core import FrozenValue, Mask, interval_family, meet_of_supersets, submasks, supersets
+from .core import FrozenValue, Universe, interval_family, meet_of_supersets, submasks, supersets
 from .errors import UnknownClaim
 from .maps import MapInstance
 from .semistar import SemistarContext, int_of_cl_closed, sandwich_closed
@@ -412,13 +412,13 @@ def _t47(inst, opt, b):
 
 # --- worked-example values: computed(ctx, opt) -------------------------------------
 
-def _reported_sweep(family: tuple, full: Mask) -> tuple:
+def _reported_sweep(family: tuple, universe: Universe) -> tuple:
     """Interval sweep taking `family` itself as the gamma-open sets and
     the meet of its complements as closure."""
+    full = universe.full
     closed = tuple(full ^ o for o in family)
-    return interval_family(
-        (o, meet_of_supersets(o, closed, full)) for o in family
-    )
+    closure = [meet_of_supersets(a, closed, full) for a in range(full + 1)]
+    return interval_family(family, closure, universe)
 
 
 def _tau(ctx, opt):
@@ -445,7 +445,7 @@ _EXAMPLES = (
      _so, (0, 1, 3, 5, 7)),
     ("E3.2c", "F1", "interval sweep over the reported gamma-open family with lattice closure "
      "reproduces the reported semi-open family",
-     lambda ctx, opt: _reported_sweep(_F1_TAU, 7), (0, 1, 3, 5, 7)),
+     lambda ctx, opt: _reported_sweep(_F1_TAU, ctx.universe), (0, 1, 3, 5, 7)),
     ("E3.2d", "F1", "{a,b} is semi-open", lambda ctx, opt: 3 in ctx.tables.so_set, True),
     ("E3.2e", "F1", "{a,b} is not gamma-open",
      lambda ctx, opt: 3 in ctx.tables.tau_gamma, False),
@@ -457,7 +457,7 @@ _EXAMPLES = (
      lambda ctx, opt: 6 in _classical_so(ctx, opt), False),
     ("E3.3d", "F2", "interval sweep over the reported gamma-open family with lattice closure "
      "makes {b,c} semi-open",
-     lambda ctx, opt: 6 in _reported_sweep(_F2_TAU, 7), True),
+     lambda ctx, opt: 6 in _reported_sweep(_F2_TAU, ctx.universe), True),
     ("E3.4a", "F3", "reported gamma-open family {{},{b},{a,b},{a,c},X} matches the computed one",
      _tau, (0, 2, 3, 5, 7)),
     ("E3.4b", "F3", "{a} is classically semi-open",

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import and_
 from typing import Iterable, Iterator, Optional
 
-from .core import Mask, Topology, dual_table, image_joins
+from .core import Mask, Topology, dual_table, image_joins, interval_family
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .ops import GammaOperation
 
@@ -78,14 +78,8 @@ class InteriorTables:
     # starred semi families ---------------------------------------------
     @cached_property
     def so_family(self) -> tuple[Mask, ...]:
-        # one interval [O, cl(O)] per gamma-open O, as the bits of the
-        # supersets of O that are subsets of cl(O); the union of the
-        # intervals is the whole family
-        up, down, cl = self.universe.superset_bits, self.universe.subset_bits, self.cl_table
-        bits = 0
-        for o in self.tau_gamma:
-            bits |= up[o] & down[cl[o]]
-        return tuple([a for a in range(self.full + 1) if bits >> a & 1])
+        # the union of the intervals [O, cl(O)] over the gamma-open O
+        return interval_family(self.tau_gamma, self.cl_table, self.universe)
 
     @cached_property
     def so_set(self) -> frozenset:
@@ -136,27 +130,31 @@ class SemistarContext:
 
 
 def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
-                    closure_variant: str) -> Iterator[SemistarContext]:
-    """One context per operation on `topology`, in order; contexts whose
-    pointwise interior tables are equal hold the same `InteriorTables`."""
+                    closure_variants: tuple[str, ...]) -> Iterator[SemistarContext]:
+    """Per operation on `topology`, in order, one context per variant of
+    `closure_variants`, in that order, all on one space; contexts whose
+    pointwise interior tables and closure variants are equal hold the same
+    `InteriorTables`."""
     by_images: dict = {}
     by_interior: dict = {}
     for op in operations:
         space = GammaSpace(topology, op)
         images = tuple([op.table[v] for v in topology.opens])
-        tables = by_images.get(images)
-        if tables is None:
+        shared = by_images.get(images)
+        if shared is None:
             # other images may give an interior table seen before
             interior = space.int_pointwise_table
-            tables = by_interior.get(interior)
-            if tables is None:
-                tables = InteriorTables(topology, interior, closure_variant)
-                by_interior[interior] = tables
-            by_images[images] = tables
+            shared = by_interior.get(interior)
+            if shared is None:
+                shared = [InteriorTables(topology, interior, variant)
+                          for variant in closure_variants]
+                by_interior[interior] = shared
+            by_images[images] = shared
         else:
             # equal images of the opens give an equal interior table
-            space.int_pointwise_table = tables.int_pointwise_table
-        yield SemistarContext(space, closure_variant, tables)
+            space.int_pointwise_table = shared[0].int_pointwise_table
+        for tables in shared:
+            yield SemistarContext(space, tables.closure_variant, tables)
 
 
 def sandwich_closed(tables: InteriorTables, mask: Mask) -> bool:

@@ -13,7 +13,8 @@ import pytest
 
 from topogamma import GammaSpace, SemistarContext, Universe
 from topogamma.claims import SearchConfig, _context_stream, search_counterexample
-from topogamma.core import enumerate_topologies, image_joins, submasks, supersets
+from topogamma.core import enumerate_topologies, image_joins, interval_family, submasks, supersets
+from topogamma.gamma import CLOSURE_VARIANTS
 from topogamma.ops import enumerate_operations
 from topogamma.semistar import InteriorTables
 
@@ -102,6 +103,32 @@ def test_contexts_share_tables_exactly_when_interiors_are_equal(max_n, budget, d
     assert len(set().union(*by_key.values())) == len(by_key)
 
 
+def _sharing(contexts) -> list:
+    """Per context, the index of the first context holding its tables."""
+    first: dict = {}
+    return [first.setdefault(id(ctx.tables), k) for k, ctx in enumerate(contexts)]
+
+
+@pytest.mark.parametrize("max_n, budget, domain", [(3, 64, "opens"), (3, 16, "semi-opens")])
+def test_one_stream_under_both_closures_matches_one_stream_per_closure(max_n, budget, domain):
+    # per operation one context per closure, in order, on one space; each
+    # closure's contexts hold the tables its own stream would build, shared
+    # between operations exactly where that stream shares them
+    config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain)
+    both = list(_context_stream(config, CLOSURE_VARIANTS))
+    step = len(CLOSURE_VARIANTS)
+    assert all(both[k].space is both[k + 1].space for k in range(0, len(both), step))
+    for i, closure in enumerate(CLOSURE_VARIANTS):
+        own = list(_context_stream(SearchConfig(max_n=max_n, op_budget=budget, domain=domain,
+                                                closure_variant=closure)))
+        mine = both[i::step]
+        assert [ctx.closure_variant for ctx in mine] == [closure] * len(own)
+        assert [ctx.describe() for ctx in mine] == [ctx.describe() for ctx in own]
+        assert _sharing(mine) == _sharing(own)
+        for ctx in mine:
+            _assert_matches_fresh(ctx)
+
+
 def _count_fills(monkeypatch, cls, name: str) -> list:
     fills = []
     fill = vars(cls)[name].func
@@ -153,6 +180,17 @@ def test_kernels_match_their_definitions():
                 s for s in range(full + 1) if s & mask == mask
             ]
     universe = Universe(("a", "b", "c", "d"))
+    # every union of at most two intervals [B, closure[B]] on 3 points
+    small = Universe(("a", "b", "c"))
+    intervals = [(bottom, top) for top in range(8) for bottom in submasks(top)]
+    for first in intervals:
+        for second in [None] + intervals:
+            family = [first] if second is None or second[0] == first[0] else [first, second]
+            closure = list(range(8))
+            for bottom, top in family:
+                closure[bottom] = top
+            union = {b | e for b, t in family for e in submasks(t & ~b)}
+            assert interval_family([b for b, _ in family], closure, small) == tuple(sorted(union))
     for a, bits in enumerate(universe.superset_bits):
         assert [b for b in range(16) if bits >> b & 1] == list(supersets(a, 15))
     for a, bits in enumerate(universe.subset_bits):
