@@ -56,12 +56,6 @@ def _as_context(instance) -> SemistarContext:
     )
 
 
-@lru_cache(maxsize=None)
-def _fixture_shape(name: str) -> tuple:
-    space = fixture_catalog()[name]
-    return space.topology, space.gamma.table
-
-
 def _subject(claim: Claim, instance):
     """What `claim` reads of `instance`: a space claim's context (a
     worked-example claim reads only its own fixture's topology and operation
@@ -69,12 +63,12 @@ def _subject(claim: Claim, instance):
     codomain) pair whose point maps the claim sweeps."""
     if claim.kind == "space":
         ctx = _as_context(instance)
-        if claim.fixture is not None and (
-            (ctx.space.topology, ctx.space.gamma.table) != _fixture_shape(claim.fixture)
-        ):
-            raise ShapeMismatch(
-                f"claim {claim.id} checks fixture {claim.fixture}; the instance is another space"
-            )
+        if claim.fixture is not None:
+            space, fixture = ctx.space, fixture_catalog()[claim.fixture]
+            if (space.topology, space.gamma.table) != (fixture.topology, fixture.gamma.table):
+                raise ShapeMismatch(
+                    f"claim {claim.id} checks fixture {claim.fixture}; the instance is another space"
+                )
         return ctx
     if isinstance(instance, MapInstance):
         return instance
@@ -296,10 +290,13 @@ class SearchConfig(FrozenValue):
     def __init__(self, max_n: int = 4, op_budget: int = 64, domain: str = "opens",
                  stop_at_first: bool = True, closure_variant: str = "pointwise",
                  options: EvalOptions = EvalOptions()):
-        if not 1 <= max_n <= ENUMERATION_CAP:
-            raise ValueError(f"max_n must be between 1 and {ENUMERATION_CAP}")
-        if op_budget < 1:
-            raise ValueError("op_budget must be positive")
+        # as in `Universe.check`, a bool or a float is refused, not coerced
+        if type(max_n) is not int or not 1 <= max_n <= ENUMERATION_CAP:
+            raise ValueError(f"max_n must be an int between 1 and {ENUMERATION_CAP}")
+        if type(op_budget) is not int or op_budget < 1:
+            raise ValueError("op_budget must be a positive int")
+        if type(stop_at_first) is not bool:
+            raise ValueError("stop_at_first must be a bool")
         # checked here, as the stream would meet a bad value only once it runs
         if domain not in OPERATION_DOMAINS:
             raise ValueError(f"unknown domain {domain!r}, expected one of {OPERATION_DOMAINS}")
@@ -519,8 +516,7 @@ def _entry_line(entry: dict) -> str:
     return line
 
 
-def _fixture_meta() -> dict:
-    catalog = fixture_catalog()
+def _fixture_meta(catalog: dict) -> dict:
     meta = {}
     for name in FIXTURE_ORDER:
         space = catalog[name]
@@ -609,7 +605,7 @@ def audit_paper() -> AuditReport:
         if e["claim"].startswith("E") and e["status"] == REFUTED
     ]
     return AuditReport(
-        fixtures=_fixture_meta(),
+        fixtures=_fixture_meta(catalog),
         entries=entries,
         sweeps=_structural_sweeps(SWEEP_MAX_N),
         errata=errata,

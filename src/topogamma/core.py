@@ -213,18 +213,6 @@ def image_joins(family: tuple[Mask, ...], table: Sequence[Mask]) -> tuple[Mask, 
     return tuple(out)
 
 
-def meet_of_supersets(a: Mask, family: Iterable[Mask], full: Mask) -> Mask:
-    """Intersection of all family members containing `a` (lattice closure).
-
-    Falls back to the full set when no member contains `a`.
-    """
-    out = full
-    for m in family:
-        if a & ~m == 0:
-            out &= m
-    return out
-
-
 def dual_table(table: tuple[Mask, ...]) -> tuple[Mask, ...]:
     """The De Morgan dual of a subset operator given as a table over the
     power set: A -> X - t(X - A)."""
@@ -280,6 +268,11 @@ class Topology(FrozenValue):
         closure, interior = self.closure_table, self.interior_table
         return tuple(a for a in range(self.full + 1) if a & ~closure[interior[a]] == 0)
 
+    @cached_property
+    def semi_interior_table(self) -> tuple[Mask, ...]:
+        """Per mask A, the union of the semi-open subsets of A."""
+        return image_joins(self.semi_opens, range(self.full + 1))
+
 
 def make_topology(universe: Universe, opens: Iterable[Mask]) -> Topology:
     """Validate an open-set family and return the canonical Topology.
@@ -312,11 +305,11 @@ def semi_open_family(topology: Topology) -> tuple[Mask, ...]:
 
 
 def semi_closure(topology: Topology, mask: Mask) -> Mask:
-    """Intersection of all semi-closed supersets of `mask`."""
+    """Intersection of all semi-closed supersets of `mask`: the dual of the
+    semi-interior, as the semi-closed sets are the semi-open complements."""
     topology.universe.check(mask)
     full = topology.full
-    semi_closed = [full ^ s for s in topology.semi_opens]
-    return meet_of_supersets(mask, semi_closed, full)
+    return full ^ topology.semi_interior_table[full ^ mask]
 
 
 def _preorder_rows(n: int) -> Iterator[tuple[Mask, ...]]:

@@ -5,6 +5,8 @@ realized as explicit total tables.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import Mask, Topology, Universe, make_topology
 from .gamma import GammaSpace
 from .ops import GammaOperation, gamma_builtin, gamma_from_table
@@ -55,16 +57,23 @@ def _piecewise(topology: Topology, trigger: Mask, when_hit: str) -> GammaOperati
     return gamma_from_table(topology, entries, fill="identity")
 
 
-def fixture_catalog() -> dict[str, GammaSpace]:
-    """Name -> space, in the catalog's fixed order."""
+@lru_cache(maxsize=None)
+def _spaces() -> tuple[tuple[str, GammaSpace], ...]:
     t1, t2, t3 = tau1(), tau2(), tau3()
     b = U3.mask_of(["b"])
     a = U3.mask_of(["a"])
-    return {
-        "F1": GammaSpace(t1, _piecewise(t1, b, "closure")),
-        "F2": GammaSpace(t1, _piecewise(t1, a, "identity")),
-        "F3": GammaSpace(t1, _piecewise(t1, b, "identity")),
-        "F4": GammaSpace(t2, gamma_builtin("closure", t2)),
-        "F5": GammaSpace(t3, gamma_builtin("interior-closure", t3)),
-        "Fid": GammaSpace(t1, gamma_builtin("identity", t1)),
-    }
+    return (
+        ("F1", GammaSpace(t1, _piecewise(t1, b, "closure"))),
+        ("F2", GammaSpace(t1, _piecewise(t1, a, "identity"))),
+        ("F3", GammaSpace(t1, _piecewise(t1, b, "identity"))),
+        ("F4", GammaSpace(t2, gamma_builtin("closure", t2))),
+        ("F5", GammaSpace(t3, gamma_builtin("interior-closure", t3))),
+        ("Fid", GammaSpace(t1, gamma_builtin("identity", t1))),
+    )
+
+
+def fixture_catalog() -> dict[str, GammaSpace]:
+    """Name -> space, in the catalog's fixed order: a fresh dict over the
+    six spaces, which are built once per process and shared, like their
+    cached tables."""
+    return dict(_spaces())

@@ -123,6 +123,5 @@ class GammaSpace:
     @cached_property
     def semi_open_op(self) -> bool:
         # the same test, with the join of the semi-opens inside image(U)
-        tab, semi = self.gamma.table, self.topology.semi_opens
-        interior = image_joins(semi, range(len(tab)))
-        return all(u & ~interior[tab[u]] == 0 for u in semi)
+        tab, interior = self.gamma.table, self.topology.semi_interior_table
+        return all(u & ~interior[tab[u]] == 0 for u in self.topology.semi_opens)

@@ -135,24 +135,14 @@ def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
     `closure_variants`, in that order, all on one space; contexts whose
     pointwise interior tables and closure variants are equal hold the same
     `InteriorTables`."""
-    by_images: dict = {}
     by_interior: dict = {}
     for op in operations:
         space = GammaSpace(topology, op)
-        images = tuple([op.table[v] for v in topology.opens])
-        shared = by_images.get(images)
+        interior = space.int_pointwise_table
+        shared = by_interior.get(interior)
         if shared is None:
-            # other images may give an interior table seen before
-            interior = space.int_pointwise_table
-            shared = by_interior.get(interior)
-            if shared is None:
-                shared = [InteriorTables(topology, interior, variant)
-                          for variant in closure_variants]
-                by_interior[interior] = shared
-            by_images[images] = shared
-        else:
-            # equal images of the opens give an equal interior table
-            space.int_pointwise_table = shared[0].int_pointwise_table
+            shared = [InteriorTables(topology, interior, variant) for variant in closure_variants]
+            by_interior[interior] = shared
         for tables in shared:
             yield SemistarContext(space, tables.closure_variant, tables)
 

@@ -381,9 +381,9 @@ def test_structural_sweeps_match_a_plain_loop(monkeypatch):
 
 def test_audit_builds_each_builtin_space_once(monkeypatch):
     # the structural sweeps read every (topology, builtin) space under both
-    # closures from one GammaSpace; the rest of the audit builds the fixture
-    # catalog a bounded number of times
-    from topogamma import claims
+    # closures from one GammaSpace; the fixture catalog's six spaces are
+    # built once per process, by the first audit after the cache is cleared
+    from topogamma import claims, fixtures
     from topogamma.ops import BUILTIN_KINDS
 
     built = []
@@ -398,5 +398,9 @@ def test_audit_builds_each_builtin_space_once(monkeypatch):
     assert len(built) == (1 + 4 + 29) * len(BUILTIN_KINDS) == 102
     assert len({(s.topology, s.gamma) for s in built}) == 102
     built.clear()
+    fixtures._spaces.cache_clear()
     audit_paper()
-    assert 102 < len(built) <= 144
+    assert len(built) == 102 + len(FIXTURE_ORDER) == 108
+    built.clear()
+    audit_paper()
+    assert len(built) == 102

@@ -154,6 +154,9 @@ def test_topology_tables():
         semi = _ref_semi_opens(topology)
         assert semi_open_family(topology) == semi, topology
         assert [_subset(a, closure[interior[a]]) for a in masks] == [a in semi for a in masks]
+        assert list(topology.semi_interior_table) == [
+            _union(s for s in semi if _subset(s, a)) for a in masks
+        ], topology
         assert [semi_closure(topology, a) for a in masks] == [
             _meet((topology.full ^ s for s in semi if _subset(a, topology.full ^ s)),
                   topology.full)

@@ -143,17 +143,17 @@ def _count_fills(monkeypatch, cls, name: str) -> list:
     return fills
 
 
-# T3.14 reads no flag; P3.17b and T3.18.5 are gated on `open`, which reads
-# each space's interior table, so a space whose images repeat must be handed
-# it. A gated claim reads the semi-open family, once per tables object, only
-# on the spaces that meet its gate.
+# Every space fills its own interior table once, the key its contexts'
+# tables are shared by; P3.17b and T3.18.5 are gated on `open`, which reads
+# that same table. A gated claim reads the semi-open family, once per tables
+# object, only on the spaces that meet its gate.
 @pytest.mark.parametrize("claim_id, evaluated, family_fills", [
     ("T3.14", 1556, 821), ("P3.17b", 1453, 718), ("T3.18.5", 1453, 718),
 ])
-def test_t314_fills_once_per_images_and_per_interior_table(monkeypatch, claim_id, evaluated,
-                                                           family_fills):
-    # the benchmark's space-search bounds: 1556 instances, 858 distinct
-    # (topology, images of the opens), 821 distinct (topology, interior)
+def test_t314_fills_once_per_space_and_per_interior_table(monkeypatch, claim_id, evaluated,
+                                                          family_fills):
+    # the benchmark's space-search bounds: 1556 instances, one space each,
+    # 821 distinct (topology, interior)
     interiors = _count_fills(monkeypatch, GammaSpace, "int_pointwise_table")
     families = _count_fills(monkeypatch, InteriorTables, "so_family")
     built = []
@@ -167,7 +167,7 @@ def test_t314_fills_once_per_images_and_per_interior_table(monkeypatch, claim_id
     config = SearchConfig(max_n=4, op_budget=4, stop_at_first=False)
     outcome = search_counterexample(claim_id, config)
     assert (outcome.visited, outcome.evaluated) == (1556, evaluated)
-    assert len(interiors) == 858
+    assert len(interiors) == len({id(s) for s in interiors}) == 1556
     assert len(built) == 821
     assert len(families) == len({id(t) for t in families}) == family_fills
 

@@ -133,6 +133,15 @@ def test_search_config_stores_drop_as_a_frozenset():
     ("max_n", 0),
     ("op_budget", 0),
     ("options", {"drop": {"open"}}),
+    # bounds must be exactly int and the flag exactly bool: a float max_n
+    # failed only once the stream ran, a float budget swept one extra
+    # operation per topology, and True ran as 1
+    ("max_n", 2.5),
+    ("max_n", True),
+    ("op_budget", 2.5),
+    ("op_budget", True),
+    ("stop_at_first", 1),
+    ("stop_at_first", None),
 ])
 def test_search_config_checks_every_field_at_construction(field, value):
     with pytest.raises(ValueError):
