@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .jsonio import (
     load_bundle,
     parse_set,
     set_to_labels,
-    topologies_to_json,
+    topologies_json_chunks,
 )
 from .ops import OPERATION_DOMAINS
 from .semistar import SemistarContext
@@ -44,6 +45,8 @@ SHOW_WHAT = ("tau-gamma", "so", "sc", "scl", "sint", "sbd", "sext", "classify")
 _SET_TABLES = {"scl": "scl_table", "sint": "sint_table", "sbd": "sbd_table",
                "sext": "sint_table"}
 _FAMILIES = {"tau-gamma": "tau_gamma", "so": "so_family", "sc": "sc_family"}
+# enumerate writes its listing in batches of this many characters
+_BATCH_CHARS = 1 << 16
 _SR_HELP = ("reading of the semi-regular hypothesis: cap (intersection form) or "
             "cup (union form). cup holds for every operation (take w = u), so "
             "under cup the hypothesis gates nothing")
@@ -243,17 +246,30 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+def _write_batched(chunks) -> None:
+    """Write the chunks to stdout joined in batches of about _BATCH_CHARS
+    characters, so a long listing is never held whole."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
+
+
 def _cmd_enumerate(args) -> int:
+    # a list of Topology objects, not of text: --json writes the count first
     topologies = list(enumerate_topologies(args.n))
     if args.count_only:
         _emit({"n": args.n, "count": len(topologies)}, args.json, str(len(topologies)))
         return 0
     if args.json:
-        sys.stdout.write(topologies_to_json(args.n, topologies) + "\n")
+        _write_batched(topologies_json_chunks(args.n, topologies))
+        sys.stdout.write("\n")
     else:
-        sys.stdout.write("".join(
-            _fmt_family(t.universe, t.opens) + "\n" for t in topologies
-        ))
+        _write_batched(_fmt_family(t.universe, t.opens) + "\n" for t in topologies)
     return 0
 
 
@@ -294,13 +310,32 @@ def run(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    code = 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): it has what it wanted.
+        # The command keeps its exit code if it had finished, else 0
+        _drop_stdout()
     except (EngineError, ValueError, OSError) as exc:
         # invalid input (bad bounds, unknown points, unreadable files) is a
         # usage error, never the "refutation found" code
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the output
+    still buffered is dropped and the flush at exit cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return   # an in-process sink with no descriptor
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def main() -> None:

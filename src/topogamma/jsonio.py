@@ -13,7 +13,7 @@ with the JSON path of the offending element.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Mask, Topology, Universe, make_topology
 from .errors import EngineError, SchemaError
@@ -189,10 +189,12 @@ def _reindent(text: str, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def topologies_to_json(n: int, topologies) -> str:
-    """The enumerate --json document: exactly
+def topologies_json_chunks(n: int, topologies: Sequence[Topology]) -> Iterator[str]:
+    """The enumerate --json document in pieces, one per topology between a
+    head and a tail; joined they are exactly
     json.dumps({"n": n, "count": ..., "topologies": [space_to_json(t), ...]},
-    indent=2, sort_keys=True), without the trailing newline.
+    indent=2, sort_keys=True), without the trailing newline. The count is
+    written first, so `topologies` is a sequence.
 
     indent= selects the pure-Python encoder, which would walk every label
     of every topology. Here json.dumps encodes each mask's labels and the
@@ -200,8 +202,12 @@ def topologies_to_json(n: int, topologies) -> str:
     those fragments, re-indented to their depth: the object sits at depth
     2 of the document, its "opens" entries at depth 4.
     """
+    yield f'{{\n  "count": {len(topologies)},\n  "n": {json.dumps(n)},\n  "topologies": '
+    if not topologies:
+        yield "[]\n}"
+        return
     fragments = {}
-    items = []
+    separator = "[\n    "
     for topology in topologies:
         universe = topology.universe
         if universe not in fragments:
@@ -214,12 +220,15 @@ def topologies_to_json(n: int, topologies) -> str:
         masks, tail = fragments[universe]
         # opens always hold the empty and the full set, so never render as []
         opens = ",\n        ".join([masks[m] for m in topology.opens])
-        items.append('{\n      "opens": [\n        ' + opens + tail)
-    listing = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    return (
-        f'{{\n  "count": {len(items)},\n  "n": {json.dumps(n)},\n'
-        f'  "topologies": {listing}\n}}'
-    )
+        yield f'{separator}{{\n      "opens": [\n        {opens}{tail}'
+        separator = ",\n    "
+    yield "\n  ]\n}"
+
+
+def topologies_to_json(n: int, topologies: Iterable[Topology]) -> str:
+    """The whole enumerate --json document as one string: the joined
+    `topologies_json_chunks` of any iterable of topologies."""
+    return "".join(topologies_json_chunks(n, tuple(topologies)))
 
 
 def _load_context(space_path: str, operation_path: Optional[str],

@@ -426,3 +426,29 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "5"],
+    ["enumerate", "--n", "5", "--json"],
+    ["audit", "--json"],
+    ["claims", "--json"],
+])
+def test_a_reader_that_closes_early_ends_the_command_quietly(argv, unbuffered):
+    # `topogamma ... | head -c 10`: a write after the close, or the flush of
+    # what is still buffered at exit, meets a broken pipe
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "topogamma.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert len(head) == 10
+    assert err == b""

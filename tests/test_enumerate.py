@@ -1,15 +1,18 @@
 """The enumeration and rendering fast paths against their definitions: the
-preorder rows and their open sets, the per-universe label tables, and the
-enumerate --json writer."""
+preorder rows and the open sets carried down their search, the
+per-universe label tables, and the enumerate --json writer and its
+batched stream."""
+import hashlib
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
 
+from topogamma.cli import run
 from topogamma.core import (
     MAX_POINTS,
     Universe,
-    _opens_of_preorder,
     _preorder_rows,
     default_universe,
     enumerate_topologies,
@@ -37,7 +40,7 @@ def _brute_force_preorders(n: int) -> set:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_preorder_rows_match_brute_force(n):
-    rows = list(_preorder_rows(n))
+    rows = [rows for rows, _ in _preorder_rows(n)]
     assert len(rows) == len(set(rows))
     assert set(rows) == _brute_force_preorders(n)
 
@@ -45,12 +48,12 @@ def test_preorder_rows_match_brute_force(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_opens_of_preorder_match_up_set_filter(n):
     full = (1 << n) - 1
-    for rows in _preorder_rows(n):
+    for rows, opens in _preorder_rows(n):
         expected = tuple(
             a for a in range(full + 1)
             if all(rows[i] & ~a == 0 for i in range(n) if a >> i & 1)
         )
-        assert _opens_of_preorder(rows) == expected, rows
+        assert opens == expected, rows
 
 
 UNIVERSES = [default_universe(n) for n in range(1, MAX_POINTS + 1)] + [
@@ -89,3 +92,39 @@ def test_topologies_to_json_matches_json_dumps(n):
 def test_topologies_to_json_with_no_topologies():
     expected = json.dumps({"n": 1, "count": 0, "topologies": []}, indent=2, sort_keys=True)
     assert topologies_to_json(1, []) == expected
+
+
+class _CountingSink:
+    """A stdout that keeps only a digest of what it is sent and the size of
+    each write."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.writes = []
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.writes.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_json_streams_in_bounded_memory(monkeypatch):
+    # the document is 4.6 MB: held whole (and joined, and given its newline)
+    # it needs several times the bound, and goes out in one write
+    expected = topologies_to_json(5, list(enumerate_topologies(5))) + "\n"
+    sink = _CountingSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = run(["enumerate", "--n", "5", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20
+    assert len(sink.writes) > 1
+    assert max(sink.writes) <= 1 << 20
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
