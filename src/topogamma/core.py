@@ -312,63 +312,44 @@ def semi_closure(topology: Topology, mask: Mask) -> Mask:
     return full ^ topology.semi_interior_table[full ^ mask]
 
 
-def _preorder_rows(n: int) -> Iterator[tuple[tuple[Mask, ...], tuple[Mask, ...]]]:
-    """Every reflexive transitive relation on n points, as up-set rows,
-    each with the open sets of its topology: (rows, opens).
-
-    rows[i] is the set of points reachable from i; reflexivity forces
-    bit i. Rows are placed one at a time and each new row is checked
-    against all earlier rows at once, so every leaf is a valid preorder and
-    no leaf is visited twice. A candidate row for point i must
-      - contain the rows of the earlier points it reaches: up[c below i],
-        the union of those rows, fits in c, and
-      - fit in the row of every earlier point that reaches i.
-
-    The opens are exactly the up-sets, which are the unions of rows. The
-    search carries the unions of the rows placed so far: the unions of the
-    first i+1 rows are those of the first i, each also joined with
-    rows[i]. So each node of the search, leaf or not, takes one union
-    step over its parent's opens, and a leaf sorts the result. Building
-    each leaf's family from its rows alone would take n steps: at n = 5
-    the search takes 10 054 steps instead of 34 710, for families of 9.6
-    opens on average.
-    """
-    full = (1 << n) - 1
-    with_point = [[c for c in range(full + 1) if c >> i & 1] for i in range(n)]
-    rows: list[Mask] = [0] * n
-
-    def place(i: int, up: list[Mask], opens: set[Mask]):
-        # up[A], for A among the first i points, is the union of their rows;
-        # opens is every union of the first i rows
-        below = (1 << i) - 1
-        allowed = full
-        for row in rows[:i]:
-            if row >> i & 1:
-                allowed &= row
-        for candidate in with_point[i]:
-            if candidate & ~allowed == 0 and up[candidate & below] & ~candidate == 0:
-                rows[i] = candidate
-                joined = opens | {o | candidate for o in opens}
-                if i + 1 == n:
-                    yield tuple(rows), tuple(sorted(joined))
-                else:
-                    yield from place(i + 1, up + [u | candidate for u in up], joined)
-
-    yield from place(0, [0], {0})
-
-
 def enumerate_topologies(n: int) -> Iterator[Topology]:
     """Every topology on the n-point default universe, exactly once.
 
     Uses the bijection between finite topologies and reflexive transitive
-    relations (the specialization preorder); minimal open neighborhoods of
-    the points are the rows of the relation. Output order is canonical:
-    ascending by open-set tuple.
+    relations (the specialization preorder, x <= y when every open holding
+    x holds y): the opens are exactly its up-sets. The search grows the
+    preorders one point at a time, carrying their opens. A preorder on the
+    first k+1 points is one on the first k and a choice, for point k, of
+      - the old points below it, D: a down-set, so the complement of an
+        open `kept`, and
+      - the open U of old points above it, which must lie in every open
+        that meets D (d <= k <= u forces d <= u).
+    Its opens are the old opens inside `kept`, then each old open that
+    holds U joined with point k. Bit k is the highest, so one filter step
+    over the parent's opens gives each family, already ascending. Output
+    order is canonical: ascending by open-set tuple.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise UniverseTooLarge(f"topology enumeration supports 1..{ENUMERATION_CAP} points")
     universe = default_universe(n)
-    families = sorted([opens for _, opens in _preorder_rows(n)])
+    families = [(0, 1)]   # the one topology on one point
+    for k in range(1, n):
+        point, old = 1 << k, (1 << k) - 1
+        grown = []
+        for opens in families:
+            for kept in opens:
+                inside, meet = [], old
+                for a in opens:
+                    if a & ~kept:
+                        meet &= a
+                    else:
+                        inside.append(a)
+                inside = tuple(inside)
+                for up in opens:
+                    if up & ~meet == 0:
+                        grown.append(inside + tuple([a | point for a in opens if a & up == up]))
+        families = grown
+    families.sort()
     for fam in families:
         yield Topology(universe, fam)
 

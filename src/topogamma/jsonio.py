@@ -202,12 +202,9 @@ def topologies_json_chunks(n: int, topologies: Sequence[Topology]) -> Iterator[s
     those fragments, re-indented to their depth: the object sits at depth
     2 of the document, its "opens" entries at depth 4.
     """
-    yield f'{{\n  "count": {len(topologies)},\n  "n": {json.dumps(n)},\n  "topologies": '
-    if not topologies:
-        yield "[]\n}"
-        return
+    yield f'{{\n  "count": {len(topologies)},\n  "n": {json.dumps(n)},\n  "topologies": ['
     fragments = {}
-    separator = "[\n    "
+    separator = "\n    "
     for topology in topologies:
         universe = topology.universe
         if universe not in fragments:
@@ -222,7 +219,7 @@ def topologies_json_chunks(n: int, topologies: Sequence[Topology]) -> Iterator[s
         opens = ",\n        ".join([masks[m] for m in topology.opens])
         yield f'{separator}{{\n      "opens": [\n        {opens}{tail}'
         separator = ",\n    "
-    yield "\n  ]\n}"
+    yield "\n  ]\n}" if topologies else "]\n}"
 
 
 def topologies_to_json(n: int, topologies: Iterable[Topology]) -> str:

@@ -1,7 +1,6 @@
 """The enumeration and rendering fast paths against their definitions: the
-preorder rows and the open sets carried down their search, the
-per-universe label tables, and the enumerate --json writer and its
-batched stream."""
+open sets carried down the preorder search, the per-universe label
+tables, and the enumerate --json writer and its batched stream."""
 import hashlib
 import json
 import tracemalloc
@@ -13,7 +12,6 @@ from topogamma.cli import run
 from topogamma.core import (
     MAX_POINTS,
     Universe,
-    _preorder_rows,
     default_universe,
     enumerate_topologies,
 )
@@ -38,22 +36,37 @@ def _brute_force_preorders(n: int) -> set:
     return found
 
 
+def _specialization_rows(n: int, opens: tuple) -> tuple:
+    """rows[i]: the least open holding point i, the points above i."""
+    rows = []
+    for i in range(n):
+        row = (1 << n) - 1
+        for a in opens:
+            if a >> i & 1:
+                row &= a
+        rows.append(row)
+    return tuple(rows)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_preorder_rows_match_brute_force(n):
-    rows = [rows for rows, _ in _preorder_rows(n)]
+    rows = [_specialization_rows(n, t.opens) for t in enumerate_topologies(n)]
     assert len(rows) == len(set(rows))
     assert set(rows) == _brute_force_preorders(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_opens_of_preorder_match_up_set_filter(n):
+    # each open is an up-set of the family's own specialization preorder,
+    # so the family equals those up-sets exactly when it is a topology
     full = (1 << n) - 1
-    for rows, opens in _preorder_rows(n):
+    for t in enumerate_topologies(n):
+        rows = _specialization_rows(n, t.opens)
         expected = tuple(
             a for a in range(full + 1)
             if all(rows[i] & ~a == 0 for i in range(n) if a >> i & 1)
         )
-        assert opens == expected, rows
+        assert t.opens == expected, rows
 
 
 UNIVERSES = [default_universe(n) for n in range(1, MAX_POINTS + 1)] + [
