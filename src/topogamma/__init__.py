@@ -7,8 +7,8 @@ an executable claims registry against exhaustively enumerated instances,
 with counterexample search and a deterministic audit report.
 
 Each operator is a power-set table cached on `Topology`, `GammaSpace` or
-`InteriorTables` (a context's `tables`) and indexed by mask;
-`Universe.check` validates a mask that comes from outside the program.
+`InteriorTables` (a context's `tables`, fixed by its closure's interior
+table) and indexed by mask; `Universe.check` validates outside masks.
 """
 
 from .core import (

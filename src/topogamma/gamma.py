@@ -3,9 +3,9 @@ itself: the pointwise gamma-interior, the pointwise semi-interior and the
 operation-class flags.
 
 Every other gamma table (tau_gamma, both closures, the semi-open
-machinery) is fixed by the pointwise interior table and one closure
-variant, so it lives on `semistar.InteriorTables`, which operations with
-equal interior tables share.
+machinery) is fixed by one closure variant's gamma-interior table, this
+one or its iterate to the fixed point, so it lives on the
+`semistar.InteriorTables` that contexts with equal such tables share.
 """
 from __future__ import annotations
 

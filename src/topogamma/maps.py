@@ -22,7 +22,7 @@ class PointMap(FrozenValue):
         if len(assignment) != source.size:
             raise ValueError("assignment must cover every source point")
         for t in assignment:
-            if not isinstance(t, int):
+            if type(t) is not int:
                 raise ValueError(f"assignment target index {t!r} is not an integer")
             if not 0 <= t < target.size:
                 raise ValueError(f"assignment target index {t} out of range")

@@ -1,16 +1,16 @@
-"""The tables a pointwise gamma-interior table fixes under one closure
-variant, on one shared `InteriorTables`: tau_gamma, the gamma-closed
-family, the variant's gamma-interior, closure and boundary, and the
-starred semi operators (the semi-open family generated by gamma-open
-intervals, the semi-closed family, semi-closure, semi-interior and
-semi-boundary). A `SemistarContext` pairs one space with them.
+"""The tables one gamma-interior table fixes, on one shared
+`InteriorTables`: tau_gamma, the gamma-closed family, the closure and
+boundary, and the starred semi operators (the semi-open family generated
+by gamma-open intervals, the semi-closed family, semi-closure,
+semi-interior and semi-boundary). A `SemistarContext` pairs one space
+with the tables of its closure variant's interior.
 
 Two closures coexist on purpose: the pointwise one collects the points
 whose every open neighborhood has an image meeting the set, the lattice
 one is the meet of the gamma-closed supersets. They differ for some
 operations, and several audited worked examples hold only under the
-lattice one, so a context pins one variant for every operator; comparing
-variants is the claims engine's job, never an operator's.
+lattice one, so a context pins one variant and its interior table;
+comparing variants is the claims engine's job, never an operator's.
 """
 from __future__ import annotations
 
@@ -18,37 +18,29 @@ from functools import cached_property
 from operator import and_
 from typing import Iterable, Iterator, Optional
 
-from .core import Mask, Topology, dual_table, image_joins, interval_family
+from .core import Mask, Topology, Universe, dual_table, image_joins, interval_family
 from .gamma import CLOSURE_VARIANTS, GammaSpace
 from .ops import GammaOperation
 
 
 class InteriorTables:
-    """The tables that `int_pointwise_table`, a pointwise gamma-interior
-    table on `topology`, fixes under `closure_variant`, each filled the
-    first time it is read. They read no operation, so operations with
-    equal interior tables share one instance (`shared_contexts`); like a
-    `GammaSpace`, an instance is safe to share between threads."""
+    """The tables a gamma-interior table `int_table` on `universe` fixes,
+    each filled when first read. They read no operation and no closure
+    variant, so contexts with equal interior tables share one instance
+    (`shared_contexts`), safe to share between threads like a `GammaSpace`."""
 
-    def __init__(self, topology: Topology, int_pointwise_table: tuple[Mask, ...],
-                 closure_variant: str):
-        if closure_variant not in CLOSURE_VARIANTS:
-            raise ValueError(
-                f"unknown closure variant {closure_variant!r}, expected one of {CLOSURE_VARIANTS}"
-            )
-        self.topology = topology
-        self.int_pointwise_table = int_pointwise_table
-        self.closure_variant = closure_variant
-        self.universe = topology.universe
-        self.full: Mask = topology.full
+    def __init__(self, universe: Universe, int_table: tuple[Mask, ...]):
+        self.universe = universe
+        self.full: Mask = universe.full
+        self.int_table = int_table
         # first failure per term that reads nothing beyond these tables
         # (`registry._Term.first_failure`)
         self.first_failures: dict = {}
 
     @cached_property
     def tau_gamma(self) -> tuple[Mask, ...]:
-        table = self.int_pointwise_table
-        return tuple([a for a, b in enumerate(table) if a == b])
+        # exact under both closures, as tau_gamma is closed under union
+        return tuple([a for a, b in enumerate(self.int_table) if a == b])
 
     @cached_property
     def gamma_closed_family(self) -> tuple[Mask, ...]:
@@ -56,18 +48,9 @@ class InteriorTables:
         # holds iff X - A fits in int(X - A), i.e. X - A is gamma-open
         return tuple(sorted(self.full ^ o for o in self.tau_gamma))
 
-    # variant-matched base operators ------------------------------------
-    @cached_property
-    def int_table(self) -> tuple[Mask, ...]:
-        if self.closure_variant == "pointwise":
-            return self.int_pointwise_table
-        return image_joins(self.tau_gamma, range(self.full + 1))
-
     @cached_property
     def cl_table(self) -> tuple[Mask, ...]:
-        # x misses the pointwise cl(A) when some open V around it has
-        # gamma(V) inside X - A; the lattice closed sets are the complements
-        # of the gamma-open ones
+        # the De Morgan dual of the interior, under either closure
         return dual_table(self.int_table)
 
     @cached_property
@@ -107,23 +90,43 @@ class InteriorTables:
         return image_joins(self.so_family, range(self.full + 1))
 
 
+def interior_table(space: GammaSpace, closure_variant: str) -> tuple[Mask, ...]:
+    """`space`'s gamma-interior table under `closure_variant`: the pointwise
+    one, iterated to its fixed point for the lattice closure."""
+    if closure_variant == "pointwise":
+        return space.int_pointwise_table
+    if closure_variant != "lattice":
+        raise ValueError(f"unknown closure variant {closure_variant!r}, "
+                         f"expected one of {CLOSURE_VARIANTS}")
+    # b = int_g(a) is a or a proper subset of it, so entry b is final already
+    lattice = list(space.int_pointwise_table)
+    for a, b in enumerate(lattice):
+        lattice[a] = lattice[b]
+    return tuple(lattice)
+
+
 class SemistarContext:
     """A space plus a pinned closure variant and `tables`, the
-    `InteriorTables` of its pointwise interior table under that variant.
-    The search stream passes tables shared with other operations; any
-    other caller gets fresh ones."""
+    `InteriorTables` of the variant's interior table: shared with other
+    contexts in the search stream, fresh for any other caller."""
 
     def __init__(self, space: GammaSpace, closure_variant: str = "pointwise",
                  tables: Optional[InteriorTables] = None):
+        interior = interior_table(space, closure_variant)
         if tables is None:
-            tables = InteriorTables(space.topology, space.int_pointwise_table, closure_variant)
-        if tables.closure_variant != closure_variant:
-            raise ValueError("the tables were built under another closure variant")
+            tables = InteriorTables(space.universe, interior)
+        elif tables.int_table != interior:
+            raise ValueError("the tables were built from another interior table")
+        self._pin(space, closure_variant, tables)
+
+    def _pin(self, space, closure_variant, tables) -> SemistarContext:
+        # unchecked: `shared_contexts` calls it alone, not to iterate a table twice
         self.space = space
         self.closure_variant = closure_variant
         self.universe = space.universe
         self.full: Mask = space.full
         self.tables = tables
+        return self
 
     def describe(self) -> str:
         return f"{self.space.describe()} closure={self.closure_variant}"
@@ -132,19 +135,17 @@ class SemistarContext:
 def shared_contexts(topology: Topology, operations: Iterable[GammaOperation],
                     closure_variants: tuple[str, ...]) -> Iterator[SemistarContext]:
     """Per operation on `topology`, in order, one context per variant of
-    `closure_variants`, in that order, all on one space; contexts whose
-    pointwise interior tables and closure variants are equal hold the same
-    `InteriorTables`."""
+    `closure_variants`, in that order, all on one space; contexts with equal
+    interior tables hold the same `InteriorTables`, whatever their variants."""
     by_interior: dict = {}
     for op in operations:
         space = GammaSpace(topology, op)
-        interior = space.int_pointwise_table
-        shared = by_interior.get(interior)
-        if shared is None:
-            shared = [InteriorTables(topology, interior, variant) for variant in closure_variants]
-            by_interior[interior] = shared
-        for tables in shared:
-            yield SemistarContext(space, tables.closure_variant, tables)
+        for variant in closure_variants:
+            interior = interior_table(space, variant)
+            tables = by_interior.get(interior)
+            if tables is None:
+                tables = by_interior[interior] = InteriorTables(topology.universe, interior)
+            yield SemistarContext.__new__(SemistarContext)._pin(space, variant, tables)
 
 
 def sandwich_closed(tables: InteriorTables, mask: Mask) -> bool:

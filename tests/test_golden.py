@@ -8,8 +8,10 @@ small map-claim searches, text and JSON, under both closures (recorded
 while map claims still read their instance through a forwarding
 wrapper), the sha256 of small space-claim searches, text and JSON
 (recorded before the search stream shared tables between operations), and
-of two space searches at the default bounds (recorded before the stream
-stopped looking tables up by the images of the opens), and the sha256 of
+of four space searches at the default bounds (two recorded before the
+stream stopped looking tables up by the images of the opens, two under
+the lattice closure before the tables were built from the variant's own
+interior table), and the sha256 of
 every `show` form on the six fixtures (recorded while `show` still called
 the semistar operator functions)."""
 import contextlib
@@ -87,7 +89,10 @@ def test_map_search_matches_golden_digest(capsys, command, digest):
 # interior reading and the semi-open operation domain (recorded before
 # the stream shared tables between the operations of one topology); then
 # T3.14 and the `open`-gated P3.17b at the default bounds, 24 193
-# instances each, where the stream shares the most tables
+# instances each, where the stream shares the most tables, and, under the
+# lattice closure, P3.29 (which keeps its first failure on the tables) and
+# T3.13 (which refutes, so its JSON names the closure), recorded while the
+# tables still branched on the closure variant
 SPACE_SEARCH_DIGESTS = _digests("space_search.sha256") + _digests("default_search.sha256")
 
 

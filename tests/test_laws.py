@@ -21,7 +21,13 @@ from topogamma import (
 )
 from topogamma.claims import CONFIRMED, REFUTED, VACUOUS, EvalOptions, SearchConfig
 from topogamma.maps import MapInstance, PointMap
-from topogamma.registry import HYPOTHESES, KNOWN_HYPOTHESES
+from topogamma.registry import (
+    _F1_TAU,
+    _F2_TAU,
+    HYPOTHESES,
+    KNOWN_HYPOTHESES,
+    _reported_tables,
+)
 from topogamma.fixtures import FIXTURE_ORDER, U3
 
 EMPTY, A, B, AB, C, AC, BC, X = 0, 1, 2, 3, 4, 5, 6, 7
@@ -103,6 +109,16 @@ class TestEvaluate:
         assert v.witness["detail"]["reported"] == [[], ["a"], ["a", "c"], ["a", "b", "c"]]
         assert evaluate_claim("E3.2c", catalog["F1"]).status == CONFIRMED
         assert evaluate_claim("E3.2d", catalog["F1"]).status == CONFIRMED
+
+    @pytest.mark.parametrize("fixture, family", [("F1", _F1_TAU), ("F2", _F2_TAU)])
+    def test_reported_families_are_their_tables_tau_gamma(self, catalog, fixture, family):
+        # E3.2c and E3.3d build tables from the joins of a reported family;
+        # holding the empty set and X, and closed under union, the family is
+        # exactly their tau_gamma, so their semi-open family is its sweep
+        assert {EMPTY, X} <= set(family)
+        assert all(a | b in family for a in family for b in family)
+        tables = _reported_tables(family, SemistarContext(catalog[fixture]))
+        assert tables.tau_gamma == family
 
     def test_e34_all_confirmed(self, catalog):
         for cid in ("E3.4a", "E3.4b", "E3.4c"):

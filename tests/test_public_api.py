@@ -78,8 +78,10 @@ REMOVED = {
 
 # the tables a space or context no longer holds: each moved to the shared
 # InteriorTables of `ctx.tables`, or to the space (CHANGES.md maps each to
-# its new read)
+# its new read); and the inputs the tables no longer hold, now that they
+# are built from the closure variant's interior table alone
 MOVED = {
+    "InteriorTables": ("topology", "closure_variant", "int_pointwise_table"),
     "GammaSpace": ("tau_gamma", "tau_gamma_set", "gamma_closed_family", "cl_pointwise_table",
                    "cl_lattice_table", "int_lattice_table"),
     "SemistarContext": ("cl_table", "int_table", "bd_table", "so_family", "so_set",
@@ -110,3 +112,6 @@ def test_moved_tables_stay_moved():
     for cls, names in MOVED.items():
         defined = vars(getattr(topogamma, cls))
         assert [name for name in names if name in defined] == [], cls
+    # the tables' inputs were instance attributes, so an instance is read too
+    tables = topogamma.SemistarContext(topogamma.fixture_catalog()["F1"], "lattice").tables
+    assert [name for name in MOVED["InteriorTables"] if hasattr(tables, name)] == []

@@ -3,26 +3,27 @@
 Every table and classification flag of every streamed context must equal
 that of a fresh SemistarContext(GammaSpace(topology, op), closure),
 whatever the order in which the stream's consumer read them. Contexts of
-one topology must hold the same InteriorTables exactly when their
-pointwise interior tables are equal, so the fills come to one per key,
-and the kernels under the tables (`image_joins` and the bitset semi-open
-family) must equal their definitions."""
+one topology must hold the same InteriorTables exactly when their closure
+variants' interior tables are equal, whatever the variants, so the fills
+come to one per key, and the kernels under the tables (`image_joins` and
+the bitset semi-open family) must equal their definitions."""
 from functools import cached_property
 
 import pytest
 
-from topogamma import GammaSpace, SemistarContext, Universe
+from topogamma import GammaSpace, SemistarContext, Universe, gamma_from_table, make_topology
 from topogamma.claims import SearchConfig, _context_stream, search_counterexample
 from topogamma.core import enumerate_topologies, image_joins, interval_family, submasks, supersets
 from topogamma.gamma import CLOSURE_VARIANTS
 from topogamma.ops import enumerate_operations
-from topogamma.semistar import InteriorTables
+from topogamma.semistar import InteriorTables, interior_table
 
-# what a context reads from its space, and what from its shared tables
+# what a context reads from its space, and what from its shared tables: the
+# interior table they are built from, then every table it fills
 SPACE_TABLES = ("int_pointwise_table", "sint_pointwise_table")
 FLAGS = ("monotone", "open_op", "regular", "semi_open_op", "semi_regular_cap",
          "semi_regular_cup")
-TABLES = sorted(
+TABLES = ["int_table"] + sorted(
     name for name, attr in vars(InteriorTables).items() if isinstance(attr, cached_property)
 )
 
@@ -58,8 +59,9 @@ def _assert_matches_fresh(ctx: SemistarContext) -> None:
     space = ctx.space
     fresh = SemistarContext(GammaSpace(space.topology, space.gamma), ctx.closure_variant)
     assert ctx.describe() == fresh.describe()
-    assert ctx.tables.closure_variant == ctx.closure_variant
-    assert ctx.tables.topology is space.topology
+    assert ctx.tables.universe == space.universe
+    # the stream skips the constructor's check; its tables must pass it
+    SemistarContext(space, ctx.closure_variant, ctx.tables)
     for name in SPACE_TABLES:
         assert getattr(space, name) == getattr(fresh.space, name), (name, ctx.describe())
     for name in TABLES:
@@ -84,20 +86,30 @@ def test_shared_stream_matches_fresh_contexts(max_n, budget, domain, closure):
         _assert_matches_fresh(ctx)
 
 
-@pytest.mark.parametrize("max_n, budget, domain, closure", CONFIGS)
+SHARING = [
+    (max_n, budget, domain, closures)
+    for max_n, budget, domain, closure in CONFIGS
+    for closures in ((closure,), CLOSURE_VARIANTS)
+    if closures == (closure,) or closure == "pointwise"
+]
+
+
+@pytest.mark.parametrize("max_n, budget, domain, closures", SHARING, ids=[
+    "-".join(map(str, config[:3])) + "-" + "+".join(config[3]) for config in SHARING
+])
 def test_contexts_share_tables_exactly_when_interiors_are_equal(max_n, budget, domain,
-                                                                closure):
-    config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain,
-                          closure_variant=closure)
-    # one tables object per (topology, pointwise interior table), and no
-    # object under two keys: together, `a.tables is b.tables` exactly when
-    # a and b have one topology and equal interior tables (the contexts are
-    # kept, so no id is reused)
-    contexts = list(_context_stream(config))
+                                                                closures):
+    config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain)
+    # one tables object per (topology, the closure variant's interior
+    # table), under one closure or both, and no object under two keys:
+    # together, `a.tables is b.tables` exactly when a and b have one
+    # topology and equal interior tables, whatever their closures (the
+    # contexts are kept, so no id is reused)
+    contexts = list(_context_stream(config, closures))
     by_key: dict = {}
     for ctx in contexts:
         key = (ctx.space.topology.universe, ctx.space.topology.opens,
-               ctx.space.int_pointwise_table)
+               interior_table(ctx.space, ctx.closure_variant))
         by_key.setdefault(key, set()).add(id(ctx.tables))
     assert all(len(ids) == 1 for ids in by_key.values())
     assert len(set().union(*by_key.values())) == len(by_key)
@@ -112,8 +124,8 @@ def _sharing(contexts) -> list:
 @pytest.mark.parametrize("max_n, budget, domain", [(3, 64, "opens"), (3, 16, "semi-opens")])
 def test_one_stream_under_both_closures_matches_one_stream_per_closure(max_n, budget, domain):
     # per operation one context per closure, in order, on one space; each
-    # closure's contexts hold the tables its own stream would build, shared
-    # between operations exactly where that stream shares them
+    # closure's contexts hold tables equal to those its own stream would
+    # build, shared between operations exactly where that stream shares them
     config = SearchConfig(max_n=max_n, op_budget=budget, domain=domain)
     both = list(_context_stream(config, CLOSURE_VARIANTS))
     step = len(CLOSURE_VARIANTS)
@@ -143,10 +155,10 @@ def _count_fills(monkeypatch, cls, name: str) -> list:
     return fills
 
 
-# Every space fills its own interior table once, the key its contexts'
-# tables are shared by; P3.17b and T3.18.5 are gated on `open`, which reads
-# that same table. A gated claim reads the semi-open family, once per tables
-# object, only on the spaces that meet its gate.
+# Every space fills its own interior table once, the key its pointwise
+# contexts' tables are shared by; P3.17b and T3.18.5 are gated on `open`,
+# which reads that same table. A gated claim reads the semi-open family,
+# once per tables object, only on the spaces that meet its gate.
 @pytest.mark.parametrize("claim_id, evaluated, family_fills", [
     ("T3.14", 1556, 821), ("P3.17b", 1453, 718), ("T3.18.5", 1453, 718),
 ])
@@ -228,8 +240,27 @@ def test_semi_open_family_is_the_union_of_the_intervals(closure):
     for n in (1, 2, 3):
         for topology in enumerate_topologies(n):
             for op in enumerate_operations(topology, "opens", None):
-                interior = GammaSpace(topology, op).int_pointwise_table
-                tables = InteriorTables(topology, interior, closure)
+                interior = interior_table(GammaSpace(topology, op), closure)
+                tables = InteriorTables(topology.universe, interior)
                 cl = tables.cl_table
                 union = {o | e for o in tables.tau_gamma for e in submasks(cl[o] & ~o)}
                 assert tables.so_family == tuple(sorted(union)), (topology, op)
+
+
+def test_a_context_refuses_tables_of_another_interior():
+    # on the discrete 3 points with {b} -> {a,b}, {c} -> {b,c} and
+    # {b,c} -> X, the pointwise interior of {b,c} is {c}, whose own is
+    # empty, so the lattice interior differs and each variant's tables are
+    # refused under the other; tables equal to the variant's own are taken
+    discrete = make_topology(Universe(("a", "b", "c")), range(8))
+    space = GammaSpace(discrete, gamma_from_table(discrete, {0b010: 0b011, 0b100: 0b110,
+                                                             0b110: 0b111}))
+    pointwise, lattice = (SemistarContext(space, closure).tables for closure in CLOSURE_VARIANTS)
+    assert (pointwise.int_table[0b110], lattice.int_table[0b110]) == (0b100, 0)
+    for closure, other in (("pointwise", lattice), ("lattice", pointwise)):
+        with pytest.raises(ValueError, match="another interior table"):
+            SemistarContext(space, closure, other)
+    own = InteriorTables(space.universe, lattice.int_table)
+    assert SemistarContext(space, "lattice", own).tables is own
+    with pytest.raises(ValueError, match="unknown closure variant 'bogus'"):
+        SemistarContext(space, "bogus")

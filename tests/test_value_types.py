@@ -84,9 +84,10 @@ def test_a_claim_refuses_an_unknown_hypothesis():
         _claim(("regualr",))
 
 
-@pytest.mark.parametrize("assignment", [(0.5, 1), (1, "0"), (1, None)])
+@pytest.mark.parametrize("assignment", [(0.5, 1), (1, "0"), (1, None), (True, False)])
 def test_point_map_refuses_a_non_integer_target(assignment):
-    # accepted, it would fail only when the image table first fills
+    # accepted, it would fail only when the image table first fills; a bool
+    # would be stored as given, as True rather than 1
     with pytest.raises(ValueError, match="is not an integer"):
         PointMap(U2, U2, assignment)
 
